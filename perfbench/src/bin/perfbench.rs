@@ -1,0 +1,5 @@
+//! Untraced runs: the end-to-end metrics (`--trace 0`).
+
+fn main() -> std::process::ExitCode {
+    perfbench::main(false)
+}

@@ -1494,7 +1494,21 @@ mod tests {
         });
         pool.submit(0);
         assert!(wait_for(|| covered.load(Ordering::SeqCst) == 256, Duration::from_secs(10)));
-        assert_eq!(pool.active_loops(), 0, "retire removes the loop");
+        // The last chunk body sets `covered`, but the owner retires the loop only after
+        // `drive` and `wait_quiescent` return, and the assisting worker bumps the pool's assist
+        // counters only after its claim loop ends (`assisted_loops` last): wait for each of
+        // those later side effects instead of asserting them right after `covered`.
+        assert!(
+            wait_for(|| pool.active_loops() == 0, Duration::from_secs(10)),
+            "retire removes the loop"
+        );
+        assert!(
+            wait_for(
+                || pool.stats().assisted_loops.load(Ordering::Relaxed) == 1,
+                Duration::from_secs(10)
+            ),
+            "the assisted loop is counted once its assisting worker leaves it"
+        );
         let stats = pool.stats();
         let chunks = stats.assist_chunks.load(Ordering::Relaxed);
         let steals = stats.assist_steals.load(Ordering::Relaxed);

@@ -82,6 +82,7 @@ use weakdep_regions::{
 };
 
 use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
+use crate::retire::RETIRE_BATCH;
 
 /// Identifier of a task inside the engine (and the runtime).
 ///
@@ -329,6 +330,7 @@ struct AccessNode {
     weak: bool,
     /// `true` if the owning task's domain mirrors part of this access as unsatisfied
     /// (`OwnAccess::pending_down` started non-empty), so satisfaction must be forwarded down.
+    /// Always `false` for strong accesses, which are satisfied before their body can spawn.
     has_mirror: bool,
     /// Per-fragment dependency state: compact while the region transitions as one unit,
     /// promoted to the general containers on the first partial-fragment operation.
@@ -1325,12 +1327,16 @@ impl DependencyEngine {
             register_parent_coverage(domain, node_ref.idx, dep.region);
 
             // Stage the seed of the child's own domain: its future children link to this access
-            // (the cross-domain linking point of §VI). The pending-down mirror starts as the set
-            // of fragments currently unsatisfied; it is kept current by `SatisfyDown` messages.
-            // The seed is only expanded into live structures if the child ever needs a domain
+            // (the cross-domain linking point of §VI). For a weak access the pending-down mirror
+            // starts as the set of fragments currently unsatisfied and is kept current by
+            // `SatisfyDown` messages. A strong access is fully satisfied before its body can
+            // start — and only the body spawns children — so its mirror would always be empty
+            // by the time anyone reads it: it is seeded empty and never forwarded to. The seed
+            // is only expanded into live structures if the child ever needs a domain
             // (`Domain::ensure_seeded`).
             let node = domain.node(node_ref.idx).expect("node just allocated");
-            let pending_down = node.unsatisfied_parts(&domain.frag);
+            let pending_down =
+                if dep.weak { node.unsatisfied_parts(&domain.frag) } else { SmallVec::new() };
             let has_mirror = !pending_down.is_empty();
             domain.node_mut(node_ref.idx).expect("node just allocated").has_mirror = has_mirror;
             child_seeds.push((dep.region, pending_down));
@@ -1514,77 +1520,99 @@ impl DependencyEngine {
         }
     }
 
-    /// The task's body has finished executing. Takes the task's own domain lock, then drains the
-    /// resulting cross-domain messages one lock at a time. Returns the ready / deeply-completed
-    /// effects, or [`StaleTaskId`] if `task` has already been retired (a double
-    /// `body_finished` through a stale id is a caller bug, reported as a defined error).
+    /// The task's body has finished executing: the batch-of-one case of
+    /// [`DependencyEngine::body_finished_batch`], whose semantics it shares.
     pub fn body_finished(&self, task: TaskId) -> Result<Effects, StaleTaskId> {
-        let entry = self.entry(task)?;
+        self.body_finished_batch(&[task])
+    }
+
+    /// The bodies of `tasks` have finished executing. Each task's own-domain step runs under
+    /// that task's own domain lock, one task at a time, and all of their cross-domain messages
+    /// are then drained by **one** [`pump`](Self::pump): consecutive messages to the same domain
+    /// (the sibling leaves of one parent, and what they cascade into the grandparent and the
+    /// next successor's domain) are applied under a single lock acquisition per batch instead
+    /// of one per task. Returns the combined ready / deeply-completed effects, or
+    /// [`StaleTaskId`] — before anything is mutated — if any task has already been retired (a
+    /// double `body_finished` through a stale id is a caller bug, reported as a defined error).
+    pub fn body_finished_batch(&self, tasks: &[TaskId]) -> Result<Effects, StaleTaskId> {
+        let entries: SmallVec<[Arc<TaskEntry>; RETIRE_BATCH]> =
+            tasks.iter().map(|&task| self.entry(task)).collect::<Result<_, _>>()?;
         let mut effects = Effects::default();
         let mut outbox = VecDeque::new();
-        {
-            let mut domain = entry.domain.lock();
-            assert!(!domain.body_finished, "body_finished called twice for {task:?}");
-            domain.body_finished = true;
-
-            match (domain.wait_mode, domain.parent_arc()) {
-                (WaitMode::None, Some(target)) => {
-                    // OpenMP default: the task's dependencies are released when the body
-                    // finishes. Leaf tasks usually still carry the unexpanded seed; either
-                    // representation yields the declared regions.
-                    let mut emit = |own_idx: usize, region: Region| {
-                        outbox.push_back(Message::CompleteUp {
-                            target: Arc::clone(&target),
-                            task: Arc::clone(&entry),
-                            own_idx: own_idx as u32,
-                            parts: smallvec![region],
-                        });
-                    };
-                    match &domain.own_seed {
-                        Some(seeds) => {
-                            for (own_idx, (region, _)) in seeds.iter().enumerate() {
-                                emit(own_idx, *region);
-                            }
-                        }
-                        None => {
-                            for (own_idx, own) in domain.own.iter().enumerate() {
-                                emit(own_idx, own.region);
-                            }
-                        }
-                    }
-                }
-                (WaitMode::Wait, _) => {
-                    // All dependencies are held until deep completion (handled below / later).
-                }
-                (WaitMode::WeakWait, Some(target)) => {
-                    // Fine-grained release: fragments not covered by live child accesses
-                    // complete now; covered fragments are handed over to the children.
-                    domain.ensure_seeded();
-                    for (own_idx, own) in domain.own.iter().enumerate() {
-                        let mut uncovered: Parts = SmallVec::new();
-                        own.child_coverage
-                            .for_each_uncovered(&own.region, |r| uncovered.push(r));
-                        if !uncovered.is_empty() {
-                            AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
-                            outbox.push_back(Message::CompleteUp {
-                                target: Arc::clone(&target),
-                                task: Arc::clone(&entry),
-                                own_idx: own_idx as u32,
-                                parts: uncovered,
-                            });
-                        }
-                    }
-                }
-                // A root has no parent domain to complete into (and no own accesses).
-                (_, None) => {}
-            }
-
-            if domain.live_children == 0 {
-                deep_complete_locked(self, &mut domain, &mut effects, &mut outbox);
-            }
+        for entry in &entries {
+            self.finish_own_domain(entry, &mut effects, &mut outbox);
         }
         self.pump(&mut outbox, &mut effects);
         Ok(effects)
+    }
+
+    /// The own-domain step of a finished body: marks the body finished, queues the completion
+    /// of whatever the wait mode releases at body end, and deep-completes a task without live
+    /// children. Takes `entry`'s domain lock only; the caller pumps the queued messages.
+    fn finish_own_domain(
+        &self,
+        entry: &Arc<TaskEntry>,
+        effects: &mut Effects,
+        outbox: &mut VecDeque<Message>,
+    ) {
+        let mut domain = entry.domain.lock();
+        assert!(!domain.body_finished, "body_finished called twice for {:?}", entry.id);
+        domain.body_finished = true;
+
+        match (domain.wait_mode, domain.parent_arc()) {
+            (WaitMode::None, Some(target)) => {
+                // OpenMP default: the task's dependencies are released when the body finishes.
+                // Leaf tasks usually still carry the unexpanded seed; either representation
+                // yields the declared regions.
+                let mut emit = |own_idx: usize, region: Region| {
+                    outbox.push_back(Message::CompleteUp {
+                        target: Arc::clone(&target),
+                        task: Arc::clone(entry),
+                        own_idx: own_idx as u32,
+                        parts: smallvec![region],
+                    });
+                };
+                match &domain.own_seed {
+                    Some(seeds) => {
+                        for (own_idx, (region, _)) in seeds.iter().enumerate() {
+                            emit(own_idx, *region);
+                        }
+                    }
+                    None => {
+                        for (own_idx, own) in domain.own.iter().enumerate() {
+                            emit(own_idx, own.region);
+                        }
+                    }
+                }
+            }
+            (WaitMode::Wait, _) => {
+                // All dependencies are held until deep completion (handled below / later).
+            }
+            (WaitMode::WeakWait, Some(target)) => {
+                // Fine-grained release: fragments not covered by live child accesses complete
+                // now; covered fragments are handed over to the children.
+                domain.ensure_seeded();
+                for (own_idx, own) in domain.own.iter().enumerate() {
+                    let mut uncovered: Parts = SmallVec::new();
+                    own.child_coverage.for_each_uncovered(&own.region, |r| uncovered.push(r));
+                    if !uncovered.is_empty() {
+                        AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
+                        outbox.push_back(Message::CompleteUp {
+                            target: Arc::clone(&target),
+                            task: Arc::clone(entry),
+                            own_idx: own_idx as u32,
+                            parts: uncovered,
+                        });
+                    }
+                }
+            }
+            // A root has no parent domain to complete into (and no own accesses).
+            (_, None) => {}
+        }
+
+        if domain.live_children == 0 {
+            deep_complete_locked(self, &mut domain, effects, outbox);
+        }
     }
 
     /// The `release` directive (§V): the running task asserts it (and its *future* subtasks) will
@@ -1824,18 +1852,19 @@ impl DependencyEngine {
 
         // Task readiness: a strong access that just became fully satisfied reduces the task's
         // pending count.
-        let (task, sched_idx, weak, has_mirror, own_idx, fully_satisfied) = {
+        // Only strong nodes count towards readiness, so only they pay for the full-satisfaction
+        // scan (which visits every fragment of a promoted node).
+        let (task, sched_idx, has_mirror, own_idx, strong_satisfied) = {
             let node = domain.node(idx).expect("checked above");
             (
                 node.task,
                 node.sched,
-                node.weak,
                 node.has_mirror,
                 node.own_idx,
-                node.fully_satisfied(&domain.frag),
+                !node.weak && node.fully_satisfied(&domain.frag),
             )
         };
-        if !weak && fully_satisfied {
+        if strong_satisfied {
             let sched = domain.sched[sched_idx as usize]
                 .as_mut()
                 .expect("sched freed while node satisfiable");
@@ -2673,6 +2702,72 @@ mod tests {
         assert_eq!(stats.accesses_registered, 3);
         assert!(stats.release_edges >= 1);
         assert!(stats.ready_at_registration >= 1);
+    }
+
+    /// A strong access is not mirrored into its task's own domain: the task can only spawn
+    /// once the access is satisfied, so grandchildren linking against it are ready at once,
+    /// and satisfying it sends nothing down.
+    #[test]
+    fn strong_access_is_not_mirrored_to_grandchildren() {
+        let mut h = Harness::new();
+        let writer = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
+        let child = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::Wait);
+        assert!(!h.is_ready(child), "registered while its strong access is unsatisfied");
+        h.finish(writer);
+        assert!(h.is_ready(child));
+        // The child runs and spawns grandchildren over its strong access.
+        let whole = h.spawn(child, &[dep(AccessType::InOut, A)], WaitMode::None);
+        let part = h.spawn(child, &[dep(AccessType::In, r(1, 0, 4))], WaitMode::None);
+        assert!(h.is_ready(whole), "the grandchild must be ready at registration");
+        assert!(!h.is_ready(part), "it still follows its sibling in the child's domain");
+        h.finish(whole);
+        assert!(h.is_ready(part));
+        h.finish(part);
+        h.finish(child);
+        assert!(h.engine.is_deeply_completed(child));
+        assert_eq!(h.engine.stats().satisfaction_edges, 0, "no edge from a strong access");
+    }
+
+    /// Retiring a batch through one pump is equivalent to retiring its tasks one by one.
+    #[test]
+    fn body_finished_batch_matches_one_by_one() {
+        let run = |batched: bool| {
+            let mut h = Harness::new();
+            let outer = h.spawn_root(&[dep(AccessType::WeakInOut, r(1, 0, 32))], WaitMode::WeakWait);
+            let next = h.spawn_root(&[dep(AccessType::In, r(1, 0, 32))], WaitMode::None);
+            let leaves: Vec<TaskId> = (0..4)
+                .map(|i| h.spawn(outer, &[dep(AccessType::InOut, r(1, i * 8, i * 8 + 8))], WaitMode::None))
+                .collect();
+            h.finish(outer);
+            if batched {
+                let effects = h.engine.body_finished_batch(&leaves).expect("live tasks");
+                h.ready.extend(effects.ready);
+                h.completed.extend(effects.deeply_completed);
+            } else {
+                for leaf in &leaves {
+                    h.finish(*leaf);
+                }
+            }
+            assert!(h.is_ready(next), "the successor waits for every leaf");
+            assert!(h.engine.is_deeply_completed(outer));
+            let mut completed = h.completed.clone();
+            completed.sort();
+            (h.ready.len(), completed.len(), h.engine.stats().tasks_retired)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// A stale id anywhere in a batch is reported before any task of the batch is retired.
+    #[test]
+    fn body_finished_batch_rejects_stale_ids_up_front() {
+        let mut h = Harness::new();
+        let done = h.spawn_root(&[], WaitMode::None);
+        h.finish(done);
+        let live = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
+        assert_eq!(h.engine.body_finished_batch(&[live, done]).unwrap_err(), StaleTaskId(done));
+        assert!(!h.engine.is_deeply_completed(live), "nothing was retired");
+        h.finish(live);
+        assert!(h.engine.is_deeply_completed(live));
     }
 
     /// Batch registration must be equivalent to a loop of single registrations.

@@ -73,6 +73,7 @@ mod engine;
 mod faults;
 mod job;
 mod observer;
+mod retire;
 mod runtime;
 
 pub use access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};

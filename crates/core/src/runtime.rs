@@ -67,6 +67,7 @@ use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 use crate::access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};
 use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
+use crate::retire::{Batch, RetireSlots, RETIRE_BATCH};
 
 /// Configuration for [`Runtime::new`].
 pub struct RuntimeConfig {
@@ -403,6 +404,8 @@ struct Inner {
     /// taken around every engine operation, emulating the pre-sharding design.
     engine_serializer: Option<Mutex<()>>,
     pending: PendingSlab,
+    /// Per-worker batches of finished tasks awaiting retirement (see [`retire_finished`]).
+    retire: RetireSlots,
     /// Service-wide recruitment state (parked-helper count + dispatch epoch) shared by every
     /// job's [`CompletionGate`], so a worker parked in one job's `taskwait` is recruitable by
     /// ready work dispatched from any other job. The gate/recruitment wake-up protocol lives
@@ -460,7 +463,8 @@ impl Runtime {
         let observers = config.observers.clone();
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
-            let pool = ThreadPool::with_policy(
+            let weak_for_idle = weak.clone();
+            let pool = ThreadPool::with_idle_hook(
                 config.workers,
                 config.scheduling,
                 move |record: Arc<TaskRecord>, wctx| {
@@ -468,8 +472,10 @@ impl Runtime {
                         execute_task(&inner, record, wctx);
                     }
                 },
+                move |wctx| weak_for_idle.upgrade().is_some_and(|inner| drain_idle(&inner, wctx)),
             );
             Inner {
+                retire: RetireSlots::new(pool.worker_count()),
                 pool,
                 engine: DependencyEngine::new(),
                 engine_serializer: config.serialized_engine.then(|| Mutex::new(())),
@@ -1223,15 +1229,17 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
+/// Whether the strong declarations of `footprint` (write declarations only, when
+/// `needs_write`) cover `region`. The common case — one declaration containing the access —
+/// is answered without building anything; the [`RegionSet`] union is only the fallback for an
+/// access spanning several declarations.
 fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
+    let qualifies = |entry: &&FootprintEntry| !entry.weak && (entry.write || !needs_write);
+    if footprint.iter().filter(qualifies).any(|entry| entry.region.contains_region(region)) {
+        return true;
+    }
     let mut qualifying = RegionSet::new();
-    for entry in footprint {
-        if entry.weak {
-            continue;
-        }
-        if needs_write && !entry.write {
-            continue;
-        }
+    for entry in footprint.iter().filter(qualifies) {
         qualifying.add(&entry.region);
     }
     qualifying.contains_all(region)
@@ -1596,20 +1604,90 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
     }
 
     let retire_start = Instant::now();
-    // Retire from the shadow table strictly *before* `body_finished` can make successors
-    // ready: a successor starting concurrently with this (finished) task is legal and must not
-    // be flagged against its still-registered footprint.
+    // Retire from the shadow table strictly *before* the engine can make successors ready
+    // (in this task's batch flush, here or later): a successor starting concurrently with
+    // this (finished) task is legal and must not be flagged against its still-registered
+    // footprint.
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
+    retire_finished(inner, wctx, &job, record.id);
+    PhaseTimers::add(&inner.timers.retire_ns, retire_start);
+}
+
+/// Parks a finished task in this worker's retire batch, then drains the batch if one of the
+/// flush rules fires (`docs/runtime.md`, "Batched retire"):
+///
+/// * the batch holds another job's tasks (drained first: effects are per job);
+/// * the batch is full ([`RETIRE_BATCH`]);
+/// * this worker has no local work, so nothing would follow the deferred retires;
+/// * a worker is parked — in the pool's sleep or as a `taskwait` helper — and would not come
+///   back to scan for the batch.
+///
+/// Otherwise the retires stay deferred while the worker runs its next local task. An idle
+/// worker takes the published batch over ([`drain_idle`]); the announcement of a batch that
+/// just became non-empty makes that sound against a worker falling asleep concurrently.
+fn retire_finished(
+    inner: &Arc<Inner>,
+    wctx: &WorkerContext<'_, Arc<TaskRecord>>,
+    job: &Arc<JobState>,
+    id: TaskId,
+) {
+    let (evicted, parked) = inner.retire.park(wctx.index(), job, id);
+    if let Some(batch) = evicted {
+        flush_batch(inner, batch, wctx);
+    }
+    let may_defer = parked < RETIRE_BATCH
+        && wctx.has_local_work()
+        && !worker_parked(inner, wctx, parked == 1);
+    if !may_defer {
+        if let Some(batch) = inner.retire.take(wctx.index()) {
+            flush_batch(inner, batch, wctx);
+        }
+    }
+}
+
+/// Whether a worker is parked, in the pool's sleep or as a `taskwait` helper. For a batch
+/// that just became non-empty (`first`) the check also *announces* the batch: the pool's
+/// sleep epoch is bumped and its sleeper count read under the sleep mutex
+/// ([`WorkerContext::announce_deferred`]), and the recruitment epoch is bumped before the
+/// helper count is read — pairing with `wait_once`, which registers a helper before it
+/// re-checks that epoch. Either this sees the parked worker, or that worker rescans and takes
+/// the batch over. Later parks into a non-empty batch only take a relaxed look.
+fn worker_parked(inner: &Inner, wctx: &WorkerContext<'_, Arc<TaskRecord>>, first: bool) -> bool {
+    let sleeper = if first {
+        let sleeper = wctx.announce_deferred();
+        inner.recruitment.publish_dispatch();
+        sleeper
+    } else {
+        wctx.any_parked()
+    };
+    sleeper || inner.recruitment.helpers() > 0
+}
+
+/// The pool's idle hook: drains this worker's own batch, or else takes over another worker's
+/// published batch. Returns whether a batch was retired.
+fn drain_idle(inner: &Arc<Inner>, wctx: &WorkerContext<'_, Arc<TaskRecord>>) -> bool {
+    let start = Instant::now();
+    let own = inner.retire.take(wctx.index());
+    let Some(batch) = own.or_else(|| inner.retire.take_other(wctx.index())) else {
+        return false;
+    };
+    flush_batch(inner, batch, wctx);
+    PhaseTimers::add(&inner.timers.retire_ns, start);
+    true
+}
+
+/// Retires a drained batch through one engine pump and dispatches the effects on `wctx`'s
+/// worker, which becomes the releasing worker of every successor (its slot takes the first).
+fn flush_batch(inner: &Arc<Inner>, batch: Batch, wctx: &WorkerContext<'_, Arc<TaskRecord>>) {
     let effects = {
         let _serial = inner.engine_serializer.as_ref().map(Mutex::lock);
         inner
             .engine
-            .body_finished(record.id)
+            .body_finished_batch(batch.ids())
             .expect("a task retires exactly once, so its id cannot be stale here")
     };
-    schedule_effects(inner, effects, Some((wctx, true)), &job);
-    PhaseTimers::add(&inner.timers.retire_ns, retire_start);
+    schedule_effects(inner, effects, Some((wctx, true)), batch.job());
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1720,6 +1798,274 @@ mod tests {
     use crate::job::PanicPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+
+    fn entry(start: usize, end: usize, write: bool, weak: bool) -> FootprintEntry {
+        FootprintEntry { region: Region::new(weakdep_regions::SpaceId(7), start, end), write, weak }
+    }
+
+    fn region(start: usize, end: usize) -> Region {
+        Region::new(weakdep_regions::SpaceId(7), start, end)
+    }
+
+    #[test]
+    fn covered_by_a_single_declaration() {
+        let footprint = [entry(0, 8, false, false), entry(16, 32, true, false)];
+        assert!(covered_by(&footprint, &region(2, 6), false));
+        assert!(covered_by(&footprint, &region(16, 32), true));
+        assert!(!covered_by(&footprint, &region(6, 10), false), "8..10 is undeclared");
+    }
+
+    #[test]
+    fn covered_by_the_union_of_two_declarations() {
+        // Neither declaration contains 4..12 alone; their union does.
+        let footprint = [entry(0, 8, true, false), entry(8, 16, true, false)];
+        assert!(covered_by(&footprint, &region(4, 12), false));
+        assert!(covered_by(&footprint, &region(4, 12), true));
+        assert!(!covered_by(&footprint, &region(4, 20), false));
+    }
+
+    #[test]
+    fn weak_only_coverage_is_rejected() {
+        let footprint = [entry(0, 16, true, true), entry(0, 4, true, false)];
+        assert!(!covered_by(&footprint, &region(2, 8), false));
+        assert!(!covered_by(&footprint, &region(2, 8), true));
+        assert!(covered_by(&footprint, &region(0, 4), true), "the strong part still counts");
+    }
+
+    #[test]
+    fn read_only_coverage_is_rejected_for_a_write() {
+        let footprint = [entry(0, 8, false, false), entry(8, 16, true, false)];
+        assert!(covered_by(&footprint, &region(0, 8), false));
+        assert!(!covered_by(&footprint, &region(0, 8), true));
+        assert!(!covered_by(&footprint, &region(4, 12), true), "0..8 is read-only");
+        assert!(covered_by(&footprint, &region(4, 12), false));
+    }
+
+    /// Flush rule: a full batch drains. On one worker, a spawner parks first and every leaf
+    /// after it finds more local work, so retires stay deferred until the batch holds
+    /// `RETIRE_BATCH` tasks — only then does the first successor become ready.
+    #[test]
+    fn retire_batch_drains_when_full() {
+        let rt = Runtime::with_workers(1);
+        let data = SharedSlice::<u64>::new(40);
+        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
+        let (d, o) = (data.clone(), Arc::clone(&order));
+        rt.run(move |root| {
+            root.task().label("spawner").spawn(move |p| {
+                let leaves: Vec<TaskSpec> = (0..40)
+                    .map(|i| {
+                        let o = Arc::clone(&o);
+                        p.task().inout(d.region(i..i + 1)).stage(move |_| o.lock().push("leaf"))
+                    })
+                    .collect();
+                p.spawn_batch(leaves);
+                let successors: Vec<TaskSpec> = (0..40)
+                    .map(|i| {
+                        let o = Arc::clone(&o);
+                        p.task().input(d.region(i..i + 1)).stage(move |_| o.lock().push("succ"))
+                    })
+                    .collect();
+                p.spawn_batch(successors);
+            });
+        });
+        let order = order.lock().clone();
+        assert_eq!(order.len(), 80);
+        let first_successor = order.iter().position(|&label| label == "succ").unwrap();
+        assert_eq!(
+            first_successor,
+            RETIRE_BATCH - 1,
+            "the spawner plus {} leaves fill the batch before any successor is released",
+            RETIRE_BATCH - 1
+        );
+    }
+
+    /// Flush rule: a worker whose slot and deque are empty drains at once, so a dependency
+    /// chain still hands every successor over through the slot.
+    #[test]
+    fn retire_batch_drains_when_the_worker_has_no_local_work() {
+        let rt = Runtime::with_workers(1);
+        let data = SharedSlice::<u64>::new(1);
+        let d = data.clone();
+        rt.run(move |root| {
+            root.task().label("spawner").spawn(move |p| {
+                for _ in 0..8 {
+                    let d2 = d.clone();
+                    p.task().inout(d.region(0..1)).label("chain").spawn(move |t| {
+                        d2.write(t, 0..1)[0] += 1;
+                    });
+                }
+            });
+        });
+        assert_eq!(data.snapshot()[0], 8);
+        assert_eq!(rt.stats().successor_slot_hits, 7, "each link's retire releases the next");
+    }
+
+    /// Flush rule: any parked worker — in the pool's sleep or as a `taskwait` helper — stops
+    /// deferral, for the announcing first park and for later ones alike; a busy one does not.
+    #[test]
+    fn retire_batch_is_not_deferred_while_a_worker_is_parked() {
+        let rt = Runtime::with_workers(2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let check = |ctx: &TaskCtx<'_>| {
+            let wctx = ctx.worker.expect("tasks run on workers");
+            (worker_parked(ctx.inner, wctx, true), worker_parked(ctx.inner, wctx, false))
+        };
+
+        // The other worker asleep in the pool.
+        let s = Arc::clone(&seen);
+        rt.run(move |root| {
+            root.task().spawn(move |t| {
+                let wctx = t.worker.expect("tasks run on workers");
+                while !wctx.any_parked() {
+                    std::thread::yield_now();
+                }
+                s.lock().push(("sleeping", check(t)));
+            });
+        });
+
+        // The other worker busy in a body: both tasks rendezvous before checking.
+        let s = Arc::clone(&seen);
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        rt.run(move |root| {
+            for checker in [true, false] {
+                let (s, arrived, done) = (Arc::clone(&s), Arc::clone(&arrived), Arc::clone(&done));
+                root.task().spawn(move |t| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    if checker {
+                        s.lock().push(("busy", check(t)));
+                        done.store(1, Ordering::SeqCst);
+                    } else {
+                        while done.load(Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+
+        // The other worker parked as a `taskwait` helper: its child waits for a region the
+        // checking task holds until it has looked.
+        let s = Arc::clone(&seen);
+        let data = SharedSlice::<u64>::new(1);
+        let holding = Arc::new(AtomicUsize::new(0));
+        rt.run(move |root| {
+            let (d, h) = (data.clone(), Arc::clone(&holding));
+            let inner = Arc::clone(root.inner);
+            root.task().inout(data.region(0..1)).label("holder").spawn(move |t| {
+                h.store(1, Ordering::SeqCst);
+                while inner.recruitment.helpers() == 0 {
+                    std::thread::yield_now();
+                }
+                s.lock().push(("helper", check(t)));
+                let _ = &d;
+            });
+            while holding.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let d = data.clone();
+            root.task().weak_inout(data.region(0..1)).label("waiter").spawn(move |t| {
+                t.task().inout(d.region(0..1)).spawn(|_| {});
+                t.taskwait();
+            });
+        });
+
+        let seen = seen.lock().clone();
+        assert_eq!(
+            seen,
+            vec![("sleeping", (true, true)), ("busy", (false, false)), ("helper", (true, true))]
+        );
+    }
+
+    /// Flush rule: a task of another job never joins a batch — the old batch leaves first.
+    #[test]
+    fn retire_batch_drains_before_another_jobs_task_joins() {
+        let rt = Runtime::with_workers(1);
+        let jobs = [rt.submit(|_| ()), rt.submit(|_| ())];
+        jobs.iter().for_each(|job| while job.try_wait().is_none() {});
+        let slots = RetireSlots::new(1);
+        let [a, b] = [&jobs[0].job, &jobs[1].job];
+        let ids: Vec<TaskId> = (0..3).map(TaskId::synthetic).collect();
+        assert!(slots.park(0, a, ids[0]).0.is_none());
+        assert_eq!(slots.park(0, a, ids[1]).1, 2);
+        let (evicted, parked) = slots.park(0, b, ids[2]);
+        let evicted = evicted.expect("job a's batch must leave before job b's task joins");
+        assert!(Arc::ptr_eq(evicted.job(), a));
+        assert_eq!(evicted.ids(), &ids[..2]);
+        assert_eq!(parked, 1);
+        let rest = slots.take(0).expect("job b's task is parked");
+        assert!(Arc::ptr_eq(rest.job(), b));
+        assert_eq!(rest.ids(), &ids[2..]);
+        assert!(slots.take(0).is_none());
+    }
+
+    /// Takeover: a worker only takes batches of *other* workers, and empties them.
+    #[test]
+    fn idle_worker_takes_over_another_workers_batch() {
+        let rt = Runtime::with_workers(1);
+        let job = rt.submit(|_| ());
+        while job.try_wait().is_none() {}
+        let slots = RetireSlots::new(3);
+        slots.park(2, &job.job, TaskId::synthetic(5));
+        assert!(slots.take_other(2).is_none(), "a worker's own batch is not a takeover");
+        let taken = slots.take_other(0).expect("worker 2's batch is published");
+        assert_eq!(taken.ids(), &[TaskId::synthetic(5)]);
+        assert!(slots.take(2).is_none());
+    }
+
+    /// End to end takeover: a short task's retire is deferred behind its long sibling on the
+    /// same worker; the other worker, once idle, takes the batch over, so the short task's
+    /// successor starts long before the long body ends.
+    #[test]
+    fn takeover_lets_a_successor_overtake_a_long_sibling() {
+        let rt = Runtime::with_workers(2);
+        let data = SharedSlice::<u64>::new(2);
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let short_done = Arc::new(AtomicUsize::new(0));
+        let times = Arc::new(Mutex::new((None::<Instant>, None::<Instant>)));
+        let (d, a, sd, tm) =
+            (data.clone(), Arc::clone(&arrived), Arc::clone(&short_done), Arc::clone(&times));
+        rt.run(move |root| {
+            for spawner in [true, false] {
+                let (d, a, sd, tm) = (d.clone(), Arc::clone(&a), Arc::clone(&sd), Arc::clone(&tm));
+                root.task().spawn(move |t| {
+                    // One task per worker.
+                    a.fetch_add(1, Ordering::SeqCst);
+                    while a.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    if !spawner {
+                        // Stay busy (so the spawner's worker defers) until the short task ran.
+                        while sd.load(Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        return;
+                    }
+                    let tl = Arc::clone(&tm);
+                    t.task().inout(d.region(0..1)).label("long").spawn(move |_| {
+                        std::thread::sleep(Duration::from_millis(200));
+                        tl.lock().1 = Some(Instant::now());
+                    });
+                    let sd = Arc::clone(&sd);
+                    t.task().inout(d.region(1..2)).label("short").spawn(move |_| {
+                        sd.store(1, Ordering::SeqCst);
+                    });
+                    let ts = Arc::clone(&tm);
+                    t.task().input(d.region(1..2)).label("successor").spawn(move |_| {
+                        ts.lock().0 = Some(Instant::now());
+                    });
+                });
+            }
+        });
+        let (successor_start, long_end) = *times.lock();
+        assert!(
+            successor_start.unwrap() < long_end.unwrap(),
+            "the short task's successor must start before its long sibling ends"
+        );
+    }
 
     #[test]
     fn run_executes_root_body_and_returns_value() {

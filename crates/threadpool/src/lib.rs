@@ -49,6 +49,12 @@ use sleep::{SleepState, WakeTarget};
 /// The executor callback: invoked once per job on a worker thread.
 pub type Executor<T> = dyn Fn(T, &WorkerContext<'_, T>) + Send + Sync;
 
+/// The idle hook: invoked when a worker finds no job in its own successor slot or deque — on
+/// the idle path before it turns to the injector, steals, assists or sleeps, and in
+/// [`WorkerContext::help_one`]. It lets the embedder finish work it deferred (the runtime's
+/// retire batches). Returns whether it made progress; the worker then rescans its own queues.
+pub type IdleHook<T> = dyn Fn(&WorkerContext<'_, T>) -> bool + Send + Sync;
+
 /// How the pool places ready jobs and searches for work. Every policy is *observationally
 /// equivalent* on data results — policies reorder execution, they never change what executes —
 /// but they produce very different (task → worker) schedules, which is exactly the Figure 3
@@ -348,6 +354,7 @@ pub struct ThreadPool<T: Send + 'static> {
 pub struct WorkerContext<'a, T: Send + 'static> {
     shared: &'a Shared<T>,
     executor: &'a Executor<T>,
+    idle: &'a IdleHook<T>,
     deque: &'a Deque<T>,
     successor_slot: &'a Cell<Option<T>>,
     /// Tenant tag of the current slot occupant (`None` = untagged), so a job displaced under
@@ -376,6 +383,16 @@ impl<T: Send + 'static> ThreadPool<T> {
     where
         F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
     {
+        Self::with_idle_hook(workers, policy, executor, |_| false)
+    }
+
+    /// Creates a pool with an explicit scheduling policy and an [`IdleHook`], which workers
+    /// call whenever their own successor slot and deque are empty.
+    pub fn with_idle_hook<F, I>(workers: usize, policy: SchedulingPolicy, executor: F, idle: I) -> Self
+    where
+        F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
+        I: Fn(&WorkerContext<'_, T>) -> bool + Send + Sync + 'static,
+    {
         let workers = workers.max(1);
         let deques: Vec<Deque<T>> = (0..workers).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(Deque::stealer).collect();
@@ -391,14 +408,16 @@ impl<T: Send + 'static> ThreadPool<T> {
             assist: AssistRegistry::new(),
         });
         let executor: Arc<Executor<T>> = Arc::new(executor);
+        let idle: Arc<IdleHook<T>> = Arc::new(idle);
 
         let mut handles = Vec::with_capacity(workers);
         for (index, deque) in deques.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             let executor = Arc::clone(&executor);
+            let idle = Arc::clone(&idle);
             let handle = std::thread::Builder::new()
                 .name(format!("weakdep-worker-{index}"))
-                .spawn(move || worker_main(index, deque, shared, executor))
+                .spawn(move || worker_main(index, deque, shared, executor, idle))
                 .expect("failed to spawn worker thread");
             handles.push(handle);
         }
@@ -783,16 +802,49 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     }
 
     /// Tries to find one queued job (including the successor slot, which only this worker can
-    /// see) and executes it inline.
+    /// see) and executes it inline. When this worker's own slot and deque are empty, the
+    /// [`IdleHook`] runs first — so deferred work is finished before a `taskwait` sleeps — and
+    /// its progress counts as help.
     ///
-    /// Returns `true` if a job was executed. Used to keep workers productive while they wait for
-    /// a condition (e.g. a `taskwait`), instead of blocking the OS thread.
+    /// Returns `true` if a job was executed or the idle hook made progress. Used to keep
+    /// workers productive while they wait for a condition (e.g. a `taskwait`), instead of
+    /// blocking the OS thread.
     pub fn help_one(&self) -> bool {
-        if let Some(job) = self.find_work(true) {
+        if let Some(job) = self.find_local(true) {
+            self.run(job);
+            return true;
+        }
+        if (self.idle)(self) {
+            return true;
+        }
+        if let Some(job) = self.find_global() {
             self.run(job);
             return true;
         }
         false
+    }
+
+    /// Whether this worker's successor slot or deque holds a job — work it will run next
+    /// without looking anywhere else.
+    pub fn has_local_work(&self) -> bool {
+        let slot = self.successor_slot.take();
+        let occupied = slot.is_some();
+        self.successor_slot.set(slot);
+        occupied || !self.deque.is_empty()
+    }
+
+    /// Publishes work that idle workers find by scanning (through the [`IdleHook`]) rather
+    /// than in a queue, under the sleep-epoch protocol: the epoch bump makes a worker that is
+    /// between its scan and its sleep rescan. Returns `true` when a worker is already parked;
+    /// the caller must then finish the work itself instead of deferring it (see
+    /// [`SleepState::announce`]).
+    pub fn announce_deferred(&self) -> bool {
+        self.shared.sleep.announce()
+    }
+
+    /// Whether any worker of the pool is parked in the sleep protocol (a relaxed snapshot).
+    pub fn any_parked(&self) -> bool {
+        self.shared.sleep.has_sleepers()
     }
 
     /// Publishes an in-progress data-parallel loop registered by the task running on this
@@ -852,19 +904,23 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         (self.executor)(job, self);
     }
 
-    /// Looks for work: successor slot (if `use_successor_slot`), local deque, injector, then
-    /// steal in the policy's victim order.
-    fn find_work(&self, use_successor_slot: bool) -> Option<T> {
+    /// Looks for work only this worker can see first: the successor slot (if
+    /// `use_successor_slot`), then the local deque.
+    fn find_local(&self, use_successor_slot: bool) -> Option<T> {
         if use_successor_slot {
             if let Some(job) = self.successor_slot.take() {
                 PoolStats::bump(&self.shared.stats.from_successor_slot);
                 return Some(job);
             }
         }
-        if let Some(job) = self.deque.pop() {
-            PoolStats::bump(&self.shared.stats.from_local);
-            return Some(job);
-        }
+        let job = self.deque.pop()?;
+        PoolStats::bump(&self.shared.stats.from_local);
+        Some(job)
+    }
+
+    /// Looks for shared work: the fair-share tenant queues, the injector, then steals in the
+    /// policy's victim order.
+    fn find_global(&self) -> Option<T> {
         // Fair-share: the tenant rotation outranks the untagged injector, and each visit takes
         // exactly one job — that *is* the round-robin. Counted as an injector acquisition (it
         // is the policy's global queue).
@@ -981,6 +1037,7 @@ fn worker_main<T: Send + 'static>(
     deque: Deque<T>,
     shared: Arc<Shared<T>>,
     executor: Arc<Executor<T>>,
+    idle: Arc<IdleHook<T>>,
 ) {
     let successor_slot = Cell::new(None);
     let successor_tenant = Cell::new(None);
@@ -988,6 +1045,7 @@ fn worker_main<T: Send + 'static>(
     let ctx = WorkerContext {
         shared: &shared,
         executor: executor.as_ref(),
+        idle: idle.as_ref(),
         deque: &deque,
         successor_slot: &successor_slot,
         successor_tenant: &successor_tenant,
@@ -1007,12 +1065,22 @@ fn worker_main<T: Send + 'static>(
         // Publishing a loop bumps the same epoch, so the scan → assist → sleep sequence can
         // never sleep through a loop published while it ran.
         let epoch = shared.sleep.current_epoch();
-        if let Some(job) = ctx.find_work(true) {
+        if let Some(job) = ctx.find_local(true) {
             ctx.run(job);
             continue;
         }
-        // Idle-path priority order: successor slot → local → injector → steal (all inside
-        // `find_work`) → **assist** an in-progress loop → sleep.
+        // Idle-path priority order: successor slot → local (`find_local`) → the **idle hook**
+        // (the runtime drains its own retire batch, then takes over another worker's
+        // published one) → injector → steal (`find_global`) → **assist** an in-progress
+        // loop → sleep. The epoch was read before the hook, so work announced through
+        // `announce_deferred` after the hook's scan prevents the sleep below.
+        if idle(&ctx) {
+            continue;
+        }
+        if let Some(job) = ctx.find_global() {
+            ctx.run(job);
+            continue;
+        }
         if ctx.assist_once() {
             continue;
         }
@@ -1516,6 +1584,94 @@ mod tests {
         assert!(chunks > 0, "assist chunks were executed");
         assert!(loops <= steals && steals <= chunks, "assist counter identity");
         assert_eq!(loops, 1);
+    }
+
+    /// `help_one` runs the idle hook once the worker's own slot and deque are empty — before
+    /// the injector — and counts the hook's progress as help; with local work it does not.
+    #[test]
+    fn help_one_runs_the_idle_hook_before_global_work() {
+        let deferred = Arc::new(AtomicUsize::new(0));
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (d, l) = (Arc::clone(&deferred), Arc::clone(&log));
+        let (d2, l2) = (Arc::clone(&deferred), Arc::clone(&log));
+        let pool: ThreadPool<u8> = ThreadPool::with_idle_hook(
+            1,
+            SchedulingPolicy::LocalitySlot,
+            move |job, ctx| {
+                l.lock().push(format!("job {job}"));
+                if job == 0 {
+                    ctx.push_local(1);
+                    d.store(1, Ordering::SeqCst);
+                    ctx.push_global(2);
+                    assert!(ctx.has_local_work());
+                    assert!(ctx.help_one(), "runs the local job");
+                    assert!(!ctx.has_local_work());
+                    assert!(ctx.help_one(), "drains the deferred work");
+                    assert!(ctx.help_one(), "runs the injector job");
+                    assert!(!ctx.help_one(), "nothing is left");
+                }
+            },
+            move |_ctx| {
+                let drained = d2.swap(0, Ordering::SeqCst) == 1;
+                if drained {
+                    l2.lock().push("hook".to_string());
+                }
+                drained
+            },
+        );
+        pool.submit(0);
+        assert!(wait_for(|| log.lock().len() == 4, Duration::from_secs(5)));
+        assert_eq!(*log.lock(), ["job 0", "job 1", "hook", "job 2"]);
+    }
+
+    /// The idle path runs the hook before it steals or sleeps, and the worker rescans after
+    /// hook progress: a job the hook publishes is picked up without any wake-up.
+    #[test]
+    fn idle_path_runs_the_hook_before_sleeping() {
+        let deferred = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        let (d, c) = (Arc::clone(&deferred), Arc::clone(&done));
+        let d2 = Arc::clone(&deferred);
+        let pool: ThreadPool<u8> = ThreadPool::with_idle_hook(
+            1,
+            SchedulingPolicy::LocalitySlot,
+            move |job, _ctx| {
+                if job == 0 {
+                    // Deferred work the worker must finish on its idle path.
+                    d.store(1, Ordering::SeqCst);
+                } else {
+                    c.fetch_add(1, Ordering::SeqCst);
+                }
+            },
+            move |ctx| {
+                if d2.swap(0, Ordering::SeqCst) == 0 {
+                    return false;
+                }
+                // Like a retire batch releasing a successor into the slot (no notify).
+                ctx.schedule_next(7);
+                true
+            },
+        );
+        pool.submit(0);
+        assert!(wait_for(|| done.load(Ordering::SeqCst) == 1, Duration::from_secs(5)));
+    }
+
+    /// `announce_deferred` reports a parked worker, and its epoch bump keeps a worker that
+    /// already scanned from parking.
+    #[test]
+    fn announce_deferred_reports_parked_workers() {
+        let answers = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let a = Arc::clone(&answers);
+        let pool: ThreadPool<u8> = ThreadPool::new(2, move |_job, ctx| {
+            // The other worker has nothing to do, so it parks.
+            while !ctx.any_parked() {
+                std::thread::yield_now();
+            }
+            a.lock().push(ctx.announce_deferred());
+        });
+        pool.submit(0);
+        assert!(wait_for(|| answers.lock().len() == 1, Duration::from_secs(5)));
+        assert_eq!(*answers.lock(), [true]);
     }
 
     /// Under a non-fair-share policy the tenant-tagged entry points are transparent aliases

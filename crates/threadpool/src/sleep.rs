@@ -144,6 +144,23 @@ impl SleepState {
         (hit, miss)
     }
 
+    /// Publishes work that idle workers find by *scanning* but that sits in no queue (a
+    /// worker's deferred retire batch): bumps the epoch, so a worker between its scan and its
+    /// sleep rescans instead of parking, and reports whether a worker is already parked. A
+    /// `true` answer means the publisher must not defer the work, since no parked worker
+    /// scans again until something wakes it. Wakes nobody itself.
+    pub fn announce(&self) -> bool {
+        let mut epoch = self.epoch.lock();
+        *epoch += 1;
+        self.has_sleepers()
+    }
+
+    /// Whether any worker is parked. Exact only under the epoch mutex (as inside
+    /// [`SleepState::announce`]); elsewhere a relaxed snapshot, good for heuristics only.
+    pub fn has_sleepers(&self) -> bool {
+        self.domains.iter().any(|d| d.sleepers.load(Ordering::Relaxed) > 0)
+    }
+
     /// Wakes every worker in every domain (used for shutdown).
     pub fn notify_all(&self) {
         let mut epoch = self.epoch.lock();

@@ -99,6 +99,67 @@ fn recruitment_never_strands_ready_work() {
     assert!(report.exhausted, "recruitment model should be exhaustible");
 }
 
+/// A worker's deferred retire batch against a `taskwait` helper, the recruitment half of the
+/// publish-vs-park protocol (`worker_parked` in `runtime.rs`). The batch holds the helper's
+/// only child. The owner parks it and announces it — recruitment epoch bump, then the helper
+/// count — and drains it itself only if it saw a helper (otherwise it defers behind a body
+/// that, in this model, never ends). The helper runs the `taskwait` loop, whose `help_one`
+/// takes the batch over. With `bump` off (the seeded mutation) the helper can register after
+/// the owner looked and sleep on an unchanged epoch: a deadlock.
+fn deferred_batch_vs_helper(bump: bool) {
+    let gate = Arc::new(CompletionGate::new());
+    let children = Arc::new(AtomicUsize::new(1));
+    let batch = Arc::new(AtomicUsize::new(0));
+    let (g2, c2, b2) = (Arc::clone(&gate), Arc::clone(&children), Arc::clone(&batch));
+    let owner = thread::spawn(move || {
+        b2.fetch_add(1, Ordering::SeqCst);
+        if bump {
+            g2.publish_dispatch();
+        }
+        if g2.recruitment().helpers() > 0 && b2.swap(0, Ordering::SeqCst) > 0 {
+            c2.fetch_sub(1, Ordering::SeqCst);
+            g2.notify(true, false);
+        }
+    });
+    loop {
+        if children.load(Ordering::SeqCst) == 0 {
+            break;
+        }
+        let epoch = gate.recruit_epoch();
+        if batch.swap(0, Ordering::SeqCst) > 0 {
+            // help_one's idle hook: take the batch over; retiring the child flips the
+            // predicate.
+            children.fetch_sub(1, Ordering::SeqCst);
+            gate.notify(true, false);
+            continue;
+        }
+        gate.wait_once(true, epoch, || children.load(Ordering::SeqCst) != 0);
+    }
+    owner.join().unwrap();
+}
+
+#[test]
+fn deferred_batch_never_strands_a_taskwait_helper() {
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| deferred_batch_vs_helper(true));
+    report.assert_ok();
+    assert!(report.exhausted, "the deferred-batch model should be exhaustible");
+}
+
+#[test]
+fn deferred_batch_without_epoch_bump_strands_the_helper() {
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(0)
+        .check(|| deferred_batch_vs_helper(false));
+    assert!(
+        report.found_deadlock(),
+        "loom-lite failed to catch the seeded missing recruitment bump: {report:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------------------------
 // Mutation: a gate fork whose notify fires *outside* the mutex. The notify can then land in
 // the window between a waiter's predicate re-check (under the mutex) and its wait — the

@@ -11,7 +11,8 @@
 
 #![cfg(feature = "loom-model")]
 
-use loom_lite::sync::atomic::{AtomicBool, Ordering};
+use loom_lite::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use loom_lite::sync::Mutex;
 use loom_lite::{thread, Checker};
 use std::sync::Arc;
 use weakdep_threadpool::sleep::{SleepState, WakeTarget};
@@ -172,5 +173,87 @@ fn dropped_wake_fork_is_caught_as_deadlock() {
     assert!(
         report.found_deadlock(),
         "loom-lite failed to catch the seeded dropped-wake bug: {report:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------------------------
+// Deferred work published by scanning (the runtime's retire batches): publish vs park.
+// ---------------------------------------------------------------------------------------------
+
+/// A worker's deferred batch, as the runtime keeps it: a locked slot that idle workers scan.
+struct BatchSlot {
+    parked: Mutex<usize>,
+    drained: AtomicUsize,
+    owner_flushed: AtomicBool,
+}
+
+/// The publish-vs-park protocol. The owner parks one task in its batch while it still has
+/// local work, then either announces the batch — epoch bump, then the sleeper count under the
+/// sleep mutex (`SleepState::announce`) — or, in the seeded mutation, only reads the sleeper
+/// count. It keeps deferring unless it saw a parked worker; a deferring owner then runs a body
+/// that never ends in this model, so only the idle worker can drain the batch. The idle
+/// worker reads the epoch, scans the slot, and parks until the epoch moves (exactly the
+/// pool's worker loop around the idle hook).
+fn publish_vs_park(announce: fn(&SleepState) -> bool) {
+    let sleep = Arc::new(SleepState::new(1));
+    let slot = Arc::new(BatchSlot {
+        parked: Mutex::new(0),
+        drained: AtomicUsize::new(0),
+        owner_flushed: AtomicBool::new(false),
+    });
+    let (s2, b2) = (Arc::clone(&sleep), Arc::clone(&slot));
+    let owner = thread::spawn(move || {
+        *b2.parked.lock() += 1;
+        if announce(&s2) {
+            // A worker is parked: the owner must not defer, so it drains the batch itself
+            // (and, in this model only, wakes the parked worker so the run can end).
+            let taken = std::mem::take(&mut *b2.parked.lock());
+            b2.drained.fetch_add(taken, Ordering::SeqCst);
+            b2.owner_flushed.store(true, Ordering::SeqCst);
+            s2.notify_all();
+        }
+    });
+    let idle = thread::spawn(move || loop {
+        let epoch = sleep.current_epoch();
+        if slot.owner_flushed.load(Ordering::SeqCst) {
+            return;
+        }
+        let taken = std::mem::take(&mut *slot.parked.lock());
+        if taken > 0 {
+            slot.drained.fetch_add(taken, Ordering::SeqCst);
+            return;
+        }
+        sleep.sleep(0, epoch, || false);
+    });
+    owner.join().unwrap();
+    idle.join().unwrap();
+}
+
+/// Whichever way the publication interleaves with the idle worker's scan-then-sleep, the
+/// batch is drained: either the idle worker's scan sees it, or the epoch bump makes it
+/// rescan, or the owner sees it parked and drains the batch itself.
+#[test]
+fn published_batch_is_never_stranded() {
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| publish_vs_park(SleepState::announce));
+    report.assert_ok();
+    assert!(report.exhausted, "the publish-vs-park model should be exhaustible");
+}
+
+/// Seeded mutation: publishing without the epoch bump. The idle worker scans the empty slot,
+/// the owner publishes and sees no sleeper yet, and the idle worker then parks on an
+/// unchanged epoch — the batch is stranded with its only drainer asleep, which the checker
+/// reports as a deadlock.
+#[test]
+fn publish_without_epoch_bump_strands_the_batch() {
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(0)
+        .check(|| publish_vs_park(SleepState::has_sleepers));
+    assert!(
+        report.found_deadlock(),
+        "loom-lite failed to catch the stranded batch of the seeded mutation: {report:?}"
     );
 }

@@ -35,6 +35,11 @@
 //!   - `call-while-locked`: no chunk execution (`run_chunk`/`drive`/`claim`), sleep-protocol
 //!     notify, or scheduler dispatch while either guard is live — chunks are claimed and run
 //!     strictly after release, and loop-publication wakes happen outside the lock.
+//! * `crates/core/src/retire.rs` — the per-worker **retire-batch slot** (`….batch.lock()`):
+//!   - `leaf-lock`: only the batch is read, appended to or moved out under it;
+//!   - `call-while-locked`: no engine call (`body_finished*`, `release_region`, `register*`,
+//!     the message pump), effects dispatch (`schedule_effects`, `flush_batch`) or wake while
+//!     the guard is live — a batch is moved out first and retired after the lock is released.
 //!
 //! ## How the scanner works
 //!
@@ -198,6 +203,35 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbid_nested_same_class: true,
         leaf: true,
     };
+    const RETIRE: LockClass = LockClass {
+        name: "retire-batch",
+        acquire: ".batch.lock()",
+        // The batch is moved out of the slot and retired after the guard is dropped: the
+        // engine, the effects dispatch and every wake run outside it (docs/locking.md).
+        forbidden_calls: &[
+            ".pump(",
+            ".body_finished(",
+            ".body_finished_batch(",
+            ".release_region(",
+            ".register_task",
+            ".register_batch(",
+            "schedule_effects(",
+            "flush_batch(",
+            ".notify(",
+            ".notify_one(",
+            ".notify_all(",
+            ".notify_many(",
+            ".announce(",
+            ".announce_deferred(",
+            ".submit(",
+            ".submit_batch(",
+            ".dispatch_ready(",
+            ".dispatch_ready_tenant(",
+            ".dispatch_spawned(",
+        ],
+        forbid_nested_same_class: true,
+        leaf: true,
+    };
     const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN];
     const EPOCH_CLASSES: &[LockClass] = &[EPOCH];
     const REGISTRY_CLASSES: &[LockClass] = &[REGISTRY];
@@ -205,6 +239,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     const ADMISSION_CLASSES: &[LockClass] = &[ADMISSION];
     const WATCHDOG_CLASSES: &[LockClass] = &[WATCHDOG];
     const ASSIST_CLASSES: &[LockClass] = &[ASSIST, POISON];
+    const RETIRE_CLASSES: &[LockClass] = &[RETIRE];
     let full = path.to_string_lossy().replace('\\', "/");
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
     // "domain"/"outbox" match the synthetic fixtures, so the CLI can be pointed at them too.
@@ -220,6 +255,8 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         WATCHDOG_CLASSES
     } else if name.contains("assist") {
         ASSIST_CLASSES
+    } else if name.contains("retire") {
+        RETIRE_CLASSES
     } else if full.contains("threadpool") && name == "lib.rs" || name.contains("fair") {
         FAIR_CLASSES
     } else {
@@ -752,6 +789,54 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "poison_takes_a_lock"),
             "a lock taken under the poison guard must be flagged: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn retire_batch_slot_is_leaf_and_engine_free() {
+        let retire_classes = classes_for(&PathBuf::from("crates/core/src/retire.rs"));
+        assert_eq!(retire_classes.len(), 1, "retire.rs must get the retire-batch class");
+        // The real shapes: park appends under the guard, take moves the batch out of it.
+        let clean = r#"
+            fn park(&self) {
+                let mut batch = slot.batch.lock();
+                batch.ids[len] = id;
+                slot.parked.store(len + 1, Ordering::Release);
+            }
+            fn take(&self) -> Option<Batch> {
+                let mut batch = slot.batch.lock();
+                Some(std::mem::replace(&mut *batch, Batch::empty()))
+            }
+        "#;
+        assert!(
+            scan_source("retire.rs", clean, retire_classes).is_empty(),
+            "the real park/take shapes must stay clean"
+        );
+
+        let dirty = r#"
+            fn retire_under_slot(&self) {
+                let batch = slot.batch.lock();
+                let effects = engine.body_finished_batch(batch.ids());
+            }
+            fn dispatch_under_slot(&self) {
+                let batch = slot.batch.lock();
+                schedule_effects(inner, effects, worker, job);
+            }
+            fn slot_takes_a_lock(&self) {
+                let batch = slot.batch.lock();
+                let stripe = table.lock();
+            }
+        "#;
+        let violations = scan_source("retire.rs", dirty, retire_classes);
+        for function in ["retire_under_slot", "dispatch_under_slot"] {
+            assert!(
+                violations.iter().any(|v| v.rule == "call-while-locked" && v.function == function),
+                "{function}: call under the retire-batch guard not flagged: {violations:?}"
+            );
+        }
+        assert!(
+            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "slot_takes_a_lock"),
+            "a lock taken under the retire-batch guard must be flagged: {violations:?}"
         );
     }
 

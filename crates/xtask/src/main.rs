@@ -26,6 +26,7 @@ const DEFAULT_TARGETS: &[&str] = &[
     "crates/threadpool/src/admission.rs",
     "crates/threadpool/src/watchdog.rs",
     "crates/threadpool/src/assist.rs",
+    "crates/core/src/retire.rs",
 ];
 
 const DEFAULT_ALLOWLIST: &str = "crates/xtask/lint-locks.allow";

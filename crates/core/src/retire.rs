@@ -104,12 +104,22 @@ impl RetireSlots {
         (evicted, len + 1)
     }
 
+    /// Whether `worker` has tasks parked (a lock-free look at the length hint).
+    pub(crate) fn has_parked(&self, worker: usize) -> bool {
+        self.slots[worker].parked.load(Ordering::Acquire) > 0
+    }
+
+    /// Whether any worker has tasks parked (a lock-free look at every length hint).
+    pub(crate) fn any_parked(&self) -> bool {
+        (0..self.slots.len()).any(|worker| self.has_parked(worker))
+    }
+
     /// Moves `worker`'s whole batch out, leaving the slot empty; `None` if nothing is parked.
     pub(crate) fn take(&self, worker: usize) -> Option<Batch> {
-        let slot = &self.slots[worker];
-        if slot.parked.load(Ordering::Acquire) == 0 {
+        if !self.has_parked(worker) {
             return None;
         }
+        let slot = &self.slots[worker];
         let mut batch = slot.batch.lock();
         if batch.len == 0 {
             return None;

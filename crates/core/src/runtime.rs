@@ -67,7 +67,7 @@ use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 use crate::access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};
 use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
-use crate::retire::{Batch, RetireSlots, RETIRE_BATCH};
+use crate::retire::{RetireSlots, RETIRE_BATCH};
 
 /// Configuration for [`Runtime::new`].
 pub struct RuntimeConfig {
@@ -404,8 +404,9 @@ struct Inner {
     /// taken around every engine operation, emulating the pre-sharding design.
     engine_serializer: Option<Mutex<()>>,
     pending: PendingSlab,
-    /// Per-worker batches of finished tasks awaiting retirement (see [`retire_finished`]).
-    retire: RetireSlots,
+    /// Per-worker batches of finished tasks awaiting retirement (see [`retire_finished`]);
+    /// shared with the pool's idle hook.
+    retire: Arc<RetireSlots>,
     /// Service-wide recruitment state (parked-helper count + dispatch epoch) shared by every
     /// job's [`CompletionGate`], so a worker parked in one job's `taskwait` is recruitable by
     /// ready work dispatched from any other job. The gate/recruitment wake-up protocol lives
@@ -464,6 +465,8 @@ impl Runtime {
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
             let weak_for_idle = weak.clone();
+            let retire = Arc::new(RetireSlots::new(config.workers.max(1)));
+            let parked = Arc::clone(&retire);
             let pool = ThreadPool::with_idle_hook(
                 config.workers,
                 config.scheduling,
@@ -472,10 +475,14 @@ impl Runtime {
                         execute_task(&inner, record, wctx);
                     }
                 },
-                move |wctx| weak_for_idle.upgrade().is_some_and(|inner| drain_idle(&inner, wctx)),
+                // Only a parked retire is worth upgrading the runtime handle for.
+                move |wctx| {
+                    parked.any_parked()
+                        && weak_for_idle.upgrade().is_some_and(|inner| drain_idle(&inner, wctx))
+                },
             );
             Inner {
-                retire: RetireSlots::new(pool.worker_count()),
+                retire,
                 pool,
                 engine: DependencyEngine::new(),
                 engine_serializer: config.serialized_engine.then(|| Mutex::new(())),
@@ -1632,16 +1639,21 @@ fn retire_finished(
     job: &Arc<JobState>,
     id: TaskId,
 ) {
+    let has_local_work = wctx.has_local_work();
+    if !has_local_work && !inner.retire.has_parked(wctx.index()) {
+        // Nothing to defer behind and nothing deferred: a batch of one needs no slot.
+        retire(inner, wctx, job, &[id]);
+        return;
+    }
     let (evicted, parked) = inner.retire.park(wctx.index(), job, id);
     if let Some(batch) = evicted {
-        flush_batch(inner, batch, wctx);
+        retire(inner, wctx, batch.job(), batch.ids());
     }
-    let may_defer = parked < RETIRE_BATCH
-        && wctx.has_local_work()
-        && !worker_parked(inner, wctx, parked == 1);
+    let may_defer =
+        parked < RETIRE_BATCH && has_local_work && !worker_parked(inner, wctx, parked == 1);
     if !may_defer {
         if let Some(batch) = inner.retire.take(wctx.index()) {
-            flush_batch(inner, batch, wctx);
+            retire(inner, wctx, batch.job(), batch.ids());
         }
     }
 }
@@ -1672,22 +1684,28 @@ fn drain_idle(inner: &Arc<Inner>, wctx: &WorkerContext<'_, Arc<TaskRecord>>) -> 
     let Some(batch) = own.or_else(|| inner.retire.take_other(wctx.index())) else {
         return false;
     };
-    flush_batch(inner, batch, wctx);
+    retire(inner, wctx, batch.job(), batch.ids());
     PhaseTimers::add(&inner.timers.retire_ns, start);
     true
 }
 
-/// Retires a drained batch through one engine pump and dispatches the effects on `wctx`'s
-/// worker, which becomes the releasing worker of every successor (its slot takes the first).
-fn flush_batch(inner: &Arc<Inner>, batch: Batch, wctx: &WorkerContext<'_, Arc<TaskRecord>>) {
+/// Retires finished tasks of `job` through one engine pump and dispatches the effects on
+/// `wctx`'s worker, which becomes the releasing worker of every successor (its slot takes the
+/// first).
+fn retire(
+    inner: &Arc<Inner>,
+    wctx: &WorkerContext<'_, Arc<TaskRecord>>,
+    job: &Arc<JobState>,
+    ids: &[TaskId],
+) {
     let effects = {
         let _serial = inner.engine_serializer.as_ref().map(Mutex::lock);
         inner
             .engine
-            .body_finished_batch(batch.ids())
+            .body_finished_batch(ids)
             .expect("a task retires exactly once, so its id cannot be stale here")
     };
-    schedule_effects(inner, effects, Some((wctx, true)), batch.job());
+    schedule_effects(inner, effects, Some((wctx, true)), job);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

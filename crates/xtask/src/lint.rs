@@ -38,8 +38,9 @@
 //! * `crates/core/src/retire.rs` — the per-worker **retire-batch slot** (`….batch.lock()`):
 //!   - `leaf-lock`: only the batch is read, appended to or moved out under it;
 //!   - `call-while-locked`: no engine call (`body_finished*`, `release_region`, `register*`,
-//!     the message pump), effects dispatch (`schedule_effects`, `flush_batch`) or wake while
-//!     the guard is live — a batch is moved out first and retired after the lock is released.
+//!     the message pump), effects dispatch (`schedule_effects`, the runtime's `retire`) or
+//!     wake while the guard is live — a batch is moved out first and retired after the lock
+//!     is released.
 //!
 //! ## How the scanner works
 //!
@@ -216,7 +217,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
             ".register_task",
             ".register_batch(",
             "schedule_effects(",
-            "flush_batch(",
+            "retire(",
             ".notify(",
             ".notify_one(",
             ".notify_all(",

@@ -8,7 +8,9 @@
 //!
 //! * [`DependencyEngine::register_task`] / [`DependencyEngine::register_batch`] — lock only the
 //!   *parent's* domain (batch registration amortises that acquisition over N siblings);
-//! * [`DependencyEngine::body_finished`] — lock the finishing task's own domain;
+//! * [`DependencyEngine::body_finished`] — lock the finishing task's own domain
+//!   ([`DependencyEngine::body_finished_batch`]: each finishing task's own domain in turn, then
+//!   one message pump for the whole batch);
 //! * [`DependencyEngine::release_region`] — lock the releasing task's own domain.
 //!
 //! Cross-domain propagation (satisfaction flowing *down* into nested domains, completion and

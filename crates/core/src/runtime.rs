@@ -1622,7 +1622,9 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
 }
 
 /// Parks a finished task in this worker's retire batch, then drains the batch if one of the
-/// flush rules fires (`docs/runtime.md`, "Batched retire"):
+/// flush rules fires (`docs/runtime.md`, "Batched retire"). A task finishing on a worker
+/// with no local work and nothing parked is retired at once, without touching its slot.
+/// The rules:
 ///
 /// * the batch holds another job's tasks (drained first: effects are per job);
 /// * the batch is full ([`RETIRE_BATCH`]);

@@ -14,7 +14,9 @@
 //! * a pluggable [`SchedulingPolicy`] deciding successor-slot usage, ready-wave placement and
 //!   the steal-victim order (see `docs/scheduling.md` for the inventory);
 //! * a mutex/condvar sleep protocol with an epoch counter so wake-ups are never lost, extended
-//!   with per-domain wake targeting for the hierarchical policy.
+//!   with per-domain wake targeting for the hierarchical policy;
+//! * an optional idle hook ([`IdleHook`]) through which the embedder finishes work it deferred
+//!   (the runtime's retire batches) before a worker turns to shared queues, assists or sleeps.
 //!
 //! The pool is generic over the job type `T` and executes jobs through a caller-provided
 //! executor callback, which receives a [`WorkerContext`] usable to schedule follow-up jobs.
@@ -388,7 +390,12 @@ impl<T: Send + 'static> ThreadPool<T> {
 
     /// Creates a pool with an explicit scheduling policy and an [`IdleHook`], which workers
     /// call whenever their own successor slot and deque are empty.
-    pub fn with_idle_hook<F, I>(workers: usize, policy: SchedulingPolicy, executor: F, idle: I) -> Self
+    pub fn with_idle_hook<F, I>(
+        workers: usize,
+        policy: SchedulingPolicy,
+        executor: F,
+        idle: I,
+    ) -> Self
     where
         F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
         I: Fn(&WorkerContext<'_, T>) -> bool + Send + Sync + 'static,

@@ -815,7 +815,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     ///
     /// Returns `true` if a job was executed or the idle hook made progress. Used to keep
     /// workers productive while they wait for a condition (e.g. a `taskwait`), instead of
-    /// blocking the OS thread.
+    /// blocking the OS thread; it is also the worker loop's own scan, before assist and sleep.
     pub fn help_one(&self) -> bool {
         if let Some(job) = self.find_local(true) {
             self.run(job);
@@ -1072,20 +1072,12 @@ fn worker_main<T: Send + 'static>(
         // Publishing a loop bumps the same epoch, so the scan → assist → sleep sequence can
         // never sleep through a loop published while it ran.
         let epoch = shared.sleep.current_epoch();
-        if let Some(job) = ctx.find_local(true) {
-            ctx.run(job);
-            continue;
-        }
         // Idle-path priority order: successor slot → local (`find_local`) → the **idle hook**
         // (the runtime drains its own retire batch, then takes over another worker's
-        // published one) → injector → steal (`find_global`) → **assist** an in-progress
-        // loop → sleep. The epoch was read before the hook, so work announced through
-        // `announce_deferred` after the hook's scan prevents the sleep below.
-        if idle(&ctx) {
-            continue;
-        }
-        if let Some(job) = ctx.find_global() {
-            ctx.run(job);
+        // published one) → injector → steal (`find_global`), all inside `help_one` →
+        // **assist** an in-progress loop → sleep. The epoch was read before the hook, so work
+        // announced through `announce_deferred` after the hook's scan prevents the sleep.
+        if ctx.help_one() {
             continue;
         }
         if ctx.assist_once() {

@@ -1973,7 +1973,7 @@ mod tests {
         let data = SharedSlice::<u64>::new(1);
         let holding = Arc::new(AtomicUsize::new(0));
         rt.run(move |root| {
-            let (d, h) = (data.clone(), Arc::clone(&holding));
+            let h = Arc::clone(&holding);
             let inner = Arc::clone(root.inner);
             root.task().inout(data.region(0..1)).label("holder").spawn(move |t| {
                 h.store(1, Ordering::SeqCst);
@@ -1981,7 +1981,6 @@ mod tests {
                     std::thread::yield_now();
                 }
                 s.lock().push(("helper", check(t)));
-                let _ = &d;
             });
             while holding.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();

@@ -3,7 +3,7 @@
 //! weak vs. strong outer accesses (how much work the engine does to link domains).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use weakdep_core::{AccessType, Depend, DependencyEngine, Region, SpaceId, WaitMode};
+use weakdep_core::{AccessType, DependencyEngine, FootprintEntry, Region, SpaceId, WaitMode};
 
 fn region(start: usize, end: usize) -> Region {
     Region::new(SpaceId(1), start, end)
@@ -19,7 +19,7 @@ fn chain(n: usize) {
         let (id, _ready) = engine
             .register_task(
                 root,
-                &[Depend::new(AccessType::InOut, region(0, 4096))],
+                &[FootprintEntry::new(AccessType::InOut, region(0, 4096))],
                 WaitMode::None,
             )
             .expect("live parent");
@@ -42,7 +42,7 @@ fn nested_weak(calls: usize, blocks: usize) {
         let (outer, _) = engine
             .register_task(
                 root,
-                &[Depend::new(AccessType::WeakInOut, region(0, total))],
+                &[FootprintEntry::new(AccessType::WeakInOut, region(0, total))],
                 WaitMode::WeakWait,
             )
             .expect("live parent");
@@ -50,7 +50,7 @@ fn nested_weak(calls: usize, blocks: usize) {
             let (inner, _) = engine
                 .register_task(
                     outer,
-                    &[Depend::new(
+                    &[FootprintEntry::new(
                         AccessType::InOut,
                         region(b * block_bytes, (b + 1) * block_bytes),
                     )],

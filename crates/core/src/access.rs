@@ -66,19 +66,25 @@ impl AccessType {
     }
 }
 
-/// One entry of a task's `depend` clause: an access type applied to a region.
+/// One entry of a task's data footprint: a region with the write and weak flags of its access
+/// type. A task's `depend` clause is collected as these, one per declaration, and
+/// [`normalize_deps`] turns the list into the normalised footprint the engine links against:
+/// disjoint regions, each with its combined access mode.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Depend {
-    /// The declared access type.
-    pub access: AccessType,
-    /// The region the access applies to.
+pub struct FootprintEntry {
+    /// The declared region.
     pub region: Region,
+    /// Whether the access implies a write.
+    pub write: bool,
+    /// Whether the access is weak (the task does not touch the data itself). After
+    /// normalisation, only true if *every* overlapping declaration was weak.
+    pub weak: bool,
 }
 
-impl Depend {
-    /// Convenience constructor.
+impl FootprintEntry {
+    /// The entry declaring `access` on `region`.
     pub fn new(access: AccessType, region: Region) -> Self {
-        Depend { access, region }
+        FootprintEntry { region, write: access.is_write(), weak: access.is_weak() }
     }
 }
 
@@ -103,83 +109,53 @@ pub enum WaitMode {
     WeakWait,
 }
 
-/// A normalised dependency declaration: disjoint regions, each with a combined access mode.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct NormalizedDep {
-    /// The region (disjoint from all other normalised entries of the same task).
-    pub region: Region,
-    /// Whether the combined access implies a write.
-    pub is_write: bool,
-    /// Whether the combined access is weak (only true if *every* overlapping declaration was
-    /// weak).
-    pub weak: bool,
-}
-
-/// Normalises a task's declared dependencies: overlapping declarations are fragmented and
-/// combined (write wins over read, strong wins over weak), empty regions are dropped.
+/// Normalises a task's declared dependencies in place: overlapping declarations are
+/// fragmented and combined (write wins over read, strong wins over weak), empty regions are
+/// dropped, and the result is sorted by `(space, start)`.
 ///
 /// The OpenMP specification leaves overlapping entries of a single `depend` clause undefined;
 /// combining them with an upgrade rule is the conservative choice and what the Nanos6 runtime
 /// does in practice.
-pub fn normalize_deps(deps: &[Depend]) -> Vec<NormalizedDep> {
+pub fn normalize_deps(deps: &mut Vec<FootprintEntry>) {
     // Fast path for the overwhelmingly common declarations: pairwise strictly separated
-    // regions. No fragmentation or combining can occur then, so the general region-map
-    // machinery — several allocations per call, on the task-creation hot path — is skipped
-    // entirely. The check sorts the candidate output (which the slow path produces sorted
-    // anyway) and scans adjacent pairs, so it is O(n log n) for any clause length instead of
-    // the quadratic scan the old ≤3-entry fast path used. Adjacent same-space regions fall
-    // through to the slow path so equal-mode neighbours still coalesce.
-    if !deps.is_empty() {
-        let mut out: Vec<NormalizedDep> = Vec::with_capacity(deps.len());
-        let mut all_non_empty = true;
-        for d in deps {
-            if d.region.is_empty() {
-                all_non_empty = false;
-                break;
-            }
-            out.push(NormalizedDep {
-                region: d.region,
-                is_write: d.access.is_write(),
-                weak: d.access.is_weak(),
-            });
-        }
-        if all_non_empty {
-            out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
-            let separated = out.windows(2).all(|pair| {
-                pair[0].region.space != pair[1].region.space
-                    || pair[0].region.end < pair[1].region.start
-            });
-            if separated {
-                return out;
-            }
+    // regions. No fragmentation or combining can occur then, so sorting is all there is to do
+    // and the general region-map machinery — several allocations per call, on the
+    // task-creation hot path — is skipped entirely. Adjacent same-space regions fall through
+    // to the slow path so equal-mode neighbours still coalesce.
+    if deps.iter().all(|d| !d.region.is_empty()) {
+        deps.sort_unstable_by_key(|d| (d.region.space, d.region.start));
+        let separated = deps.windows(2).all(|pair| {
+            pair[0].region.space != pair[1].region.space
+                || pair[0].region.end < pair[1].region.start
+        });
+        if separated {
+            return;
         }
     }
 
-    #[derive(Clone, PartialEq)]
-    struct Combined {
-        is_write: bool,
-        weak: bool,
-    }
-
-    let mut map: RegionMap<Combined> = RegionMap::new();
-    for dep in deps {
-        if dep.region.is_empty() {
-            continue;
-        }
-        let is_write = dep.access.is_write();
-        let weak = dep.access.is_weak();
+    // `(write, weak)` per fragment.
+    let mut map: RegionMap<(bool, bool)> = RegionMap::new();
+    for dep in deps.iter().filter(|d| !d.region.is_empty()) {
         map.update(&dep.region, |_, existing| match existing {
-            Some(prev) => RangeUpdate::Set(Combined {
-                is_write: prev.is_write || is_write,
-                weak: prev.weak && weak,
-            }),
-            None => RangeUpdate::Set(Combined { is_write, weak }),
+            Some(&(write, weak)) => RangeUpdate::Set((write || dep.write, weak && dep.weak)),
+            None => RangeUpdate::Set((dep.write, dep.weak)),
         });
     }
     map.coalesce();
-    map.iter()
-        .map(|(region, c)| NormalizedDep { region, is_write: c.is_write, weak: c.weak })
-        .collect()
+    deps.clear();
+    deps.extend(map.iter().map(|(region, &(write, weak))| FootprintEntry { region, write, weak }));
+    // The map iterates its spaces in hash order.
+    deps.sort_unstable_by_key(|d| (d.region.space, d.region.start));
+}
+
+/// Whether `deps` is in the form [`normalize_deps`] produces: non-empty regions, sorted by
+/// `(space, start)`, pairwise disjoint.
+pub(crate) fn is_normalized(deps: &[FootprintEntry]) -> bool {
+    deps.iter().all(|d| !d.region.is_empty())
+        && deps.windows(2).all(|pair| {
+            let (a, b) = (&pair[0].region, &pair[1].region);
+            a.space < b.space || (a.space == b.space && a.end <= b.start)
+        })
 }
 
 #[cfg(test)]
@@ -208,98 +184,97 @@ mod tests {
         assert_eq!(AccessType::WeakOut.name(), "weakout");
     }
 
+    fn entry(region: Region, write: bool, weak: bool) -> FootprintEntry {
+        FootprintEntry { region, write, weak }
+    }
+
     #[test]
     fn normalize_disjoint_declarations() {
-        let deps = vec![
-            Depend::new(AccessType::In, r(0, 10)),
-            Depend::new(AccessType::Out, r(20, 30)),
+        let mut deps = vec![
+            FootprintEntry::new(AccessType::In, r(0, 10)),
+            FootprintEntry::new(AccessType::Out, r(20, 30)),
         ];
-        let norm = normalize_deps(&deps);
-        assert_eq!(
-            norm,
-            vec![
-                NormalizedDep { region: r(0, 10), is_write: false, weak: false },
-                NormalizedDep { region: r(20, 30), is_write: true, weak: false },
-            ]
-        );
+        normalize_deps(&mut deps);
+        assert_eq!(deps, vec![entry(r(0, 10), false, false), entry(r(20, 30), true, false)]);
     }
 
     #[test]
     fn normalize_upgrades_overlaps() {
         // in + weakinout over the same range: the overlap becomes a strong write.
-        let deps = vec![
-            Depend::new(AccessType::In, r(0, 10)),
-            Depend::new(AccessType::WeakInOut, r(5, 15)),
+        let mut deps = vec![
+            FootprintEntry::new(AccessType::In, r(0, 10)),
+            FootprintEntry::new(AccessType::WeakInOut, r(5, 15)),
         ];
-        let norm = normalize_deps(&deps);
+        normalize_deps(&mut deps);
         assert_eq!(
-            norm,
+            deps,
             vec![
-                NormalizedDep { region: r(0, 5), is_write: false, weak: false },
-                NormalizedDep { region: r(5, 10), is_write: true, weak: false },
-                NormalizedDep { region: r(10, 15), is_write: true, weak: true },
+                entry(r(0, 5), false, false),
+                entry(r(5, 10), true, false),
+                entry(r(10, 15), true, true),
             ]
         );
     }
 
     #[test]
     fn normalize_merges_adjacent_equal_entries() {
-        let deps = vec![
-            Depend::new(AccessType::In, r(0, 10)),
-            Depend::new(AccessType::In, r(10, 20)),
+        let mut deps = vec![
+            FootprintEntry::new(AccessType::In, r(0, 10)),
+            FootprintEntry::new(AccessType::In, r(10, 20)),
         ];
-        let norm = normalize_deps(&deps);
-        assert_eq!(norm, vec![NormalizedDep { region: r(0, 20), is_write: false, weak: false }]);
+        normalize_deps(&mut deps);
+        assert_eq!(deps, vec![entry(r(0, 20), false, false)]);
     }
 
     #[test]
     fn normalize_long_disjoint_clause_takes_fast_path() {
         // More entries than the historical fast-path bound, deliberately unsorted: the result
         // must be sorted and identical to what the general path would produce.
-        let deps: Vec<Depend> = [4usize, 0, 2, 5, 1, 3]
+        let mut deps: Vec<FootprintEntry> = [4usize, 0, 2, 5, 1, 3]
             .iter()
-            .map(|&i| Depend::new(AccessType::InOut, r(i * 20, i * 20 + 10)))
+            .map(|&i| FootprintEntry::new(AccessType::InOut, r(i * 20, i * 20 + 10)))
             .collect();
-        let norm = normalize_deps(&deps);
-        assert_eq!(norm.len(), 6);
-        for (i, d) in norm.iter().enumerate() {
+        normalize_deps(&mut deps);
+        assert_eq!(deps.len(), 6);
+        for (i, d) in deps.iter().enumerate() {
             assert_eq!(d.region, r(i * 20, i * 20 + 10));
-            assert!(d.is_write && !d.weak);
+            assert!(d.write && !d.weak);
         }
     }
 
     #[test]
     fn normalize_long_overlapping_clause_still_combines() {
         // Six entries where two overlap: the fast path must reject and the slow path combine.
-        let mut deps: Vec<Depend> = (0..5)
-            .map(|i| Depend::new(AccessType::In, r(i * 20, i * 20 + 10)))
+        let mut deps: Vec<FootprintEntry> = (0..5)
+            .map(|i| FootprintEntry::new(AccessType::In, r(i * 20, i * 20 + 10)))
             .collect();
-        deps.push(Depend::new(AccessType::Out, r(5, 25)));
-        let norm = normalize_deps(&deps);
+        deps.push(FootprintEntry::new(AccessType::Out, r(5, 25)));
+        normalize_deps(&mut deps);
         // [0,5) stays read-only; [5,25) combines into one write fragment (upgraded overlaps
         // coalesced with the write-only middle).
-        assert!(norm.iter().any(|d| d.region == r(0, 5) && !d.is_write));
-        assert!(norm.iter().any(|d| d.region == r(5, 25) && d.is_write));
+        assert!(deps.iter().any(|d| d.region == r(0, 5) && !d.write));
+        assert!(deps.iter().any(|d| d.region == r(5, 25) && d.write));
         // Sorted output, no overlaps.
-        for pair in norm.windows(2) {
+        for pair in deps.windows(2) {
             assert!(pair[0].region.end <= pair[1].region.start);
         }
     }
 
     #[test]
     fn normalize_drops_empty_regions() {
-        let deps = vec![Depend::new(AccessType::InOut, r(5, 5))];
-        assert!(normalize_deps(&deps).is_empty());
+        let mut deps = vec![FootprintEntry::new(AccessType::InOut, r(5, 5))];
+        normalize_deps(&mut deps);
+        assert!(deps.is_empty());
     }
 
     #[test]
     fn weak_only_if_all_weak() {
-        let deps = vec![
-            Depend::new(AccessType::WeakIn, r(0, 10)),
-            Depend::new(AccessType::WeakOut, r(0, 10)),
+        let mut deps = vec![
+            FootprintEntry::new(AccessType::WeakIn, r(0, 10)),
+            FootprintEntry::new(AccessType::WeakOut, r(0, 10)),
         ];
-        let norm = normalize_deps(&deps);
-        assert_eq!(norm, vec![NormalizedDep { region: r(0, 10), is_write: true, weak: true }]);
+        normalize_deps(&mut deps);
+        assert_eq!(deps, vec![entry(r(0, 10), true, true)]);
     }
 
     #[test]

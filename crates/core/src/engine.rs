@@ -83,7 +83,7 @@ use weakdep_regions::{
     StoreTier,
 };
 
-use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
+use crate::access::{FootprintEntry, WaitMode};
 use crate::retire::RETIRE_BATCH;
 
 /// Identifier of a task inside the engine (and the runtime).
@@ -1228,22 +1228,13 @@ impl DependencyEngine {
     /// task is immediately ready to run, or [`StaleTaskId`] if `parent` has been retired
     /// (spawning from a live body makes that a caller bug, but the engine reports it as a
     /// defined error like the rest of the query API instead of panicking).
+    ///
+    /// `deps` must be normalised, as [`crate::normalize_deps`] leaves them: non-empty regions,
+    /// sorted by `(space, start)`, pairwise disjoint. Debug builds assert it.
     pub fn register_task(
         &self,
         parent: TaskId,
-        deps: &[Depend],
-        wait_mode: WaitMode,
-    ) -> Result<(TaskId, bool), StaleTaskId> {
-        self.register_task_normalized(parent, &normalize_deps(deps), wait_mode)
-    }
-
-    /// [`DependencyEngine::register_task`] over pre-normalised dependencies, for callers (the
-    /// runtime) that need the normalised footprint anyway and should not pay for normalising
-    /// twice.
-    pub fn register_task_normalized(
-        &self,
-        parent: TaskId,
-        deps: &[NormalizedDep],
+        deps: &[FootprintEntry],
         wait_mode: WaitMode,
     ) -> Result<(TaskId, bool), StaleTaskId> {
         let parent_entry = self.entry(parent)?;
@@ -1252,13 +1243,13 @@ impl DependencyEngine {
     }
 
     /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
-    /// lock, amortising lock traffic for loop-spawn patterns. Dependencies are pre-normalised,
-    /// like [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in
-    /// order, or [`StaleTaskId`] if `parent` has been retired.
+    /// lock, amortising lock traffic for loop-spawn patterns. Each task's dependencies must be
+    /// normalised, as for [`DependencyEngine::register_task`]. Returns `(id, ready)` per task,
+    /// in order, or [`StaleTaskId`] if `parent` has been retired.
     pub fn register_batch<'a>(
         &self,
         parent: TaskId,
-        specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
+        specs: impl IntoIterator<Item = (&'a [FootprintEntry], WaitMode)>,
     ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
         let parent_entry = self.entry(parent)?;
         let mut domain = parent_entry.domain.lock();
@@ -1275,12 +1266,16 @@ impl DependencyEngine {
         &self,
         parent_entry: &Arc<TaskEntry>,
         domain: &mut Domain,
-        deps: &[NormalizedDep],
+        deps: &[FootprintEntry],
         wait_mode: WaitMode,
     ) -> (TaskId, bool) {
         assert!(
             !domain.deeply_completed,
             "cannot create a child of a deeply completed task"
+        );
+        debug_assert!(
+            crate::access::is_normalized(deps),
+            "registered dependencies must be normalised (see `normalize_deps`)"
         );
         let id = self.alloc_id();
         AtomicStats::bump(&self.stats.tasks_registered, 1);
@@ -1325,7 +1320,7 @@ impl DependencyEngine {
                 .expect("sched slot just allocated")
                 .live_nodes += 1;
 
-            self.link_into_domain(domain, node_ref, dep.region, dep.is_write);
+            self.link_into_domain(domain, node_ref, dep.region, dep.write);
             register_parent_coverage(domain, node_ref.idx, dep.region);
 
             // Stage the seed of the child's own domain: its future children link to this access
@@ -2184,15 +2179,15 @@ fn deep_complete_locked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessType;
+    use crate::access::{normalize_deps, AccessType};
     use weakdep_regions::SpaceId;
 
     fn r(space: u64, start: usize, end: usize) -> Region {
         Region::new(SpaceId(space), start, end)
     }
 
-    fn dep(access: AccessType, region: Region) -> Depend {
-        Depend::new(access, region)
+    fn dep(access: AccessType, region: Region) -> FootprintEntry {
+        FootprintEntry::new(access, region)
     }
 
     /// Helper wrapping the engine to make the test scenarios readable.
@@ -2210,16 +2205,18 @@ mod tests {
             Harness { engine, root, ready: Vec::new(), completed: Vec::new() }
         }
 
-        fn spawn(&mut self, parent: TaskId, deps: &[Depend], mode: WaitMode) -> TaskId {
+        fn spawn(&mut self, parent: TaskId, deps: &[FootprintEntry], mode: WaitMode) -> TaskId {
+            let mut deps = deps.to_vec();
+            normalize_deps(&mut deps);
             let (id, ready) =
-                self.engine.register_task(parent, deps, mode).expect("live parent");
+                self.engine.register_task(parent, &deps, mode).expect("live parent");
             if ready {
                 self.ready.push(id);
             }
             id
         }
 
-        fn spawn_root(&mut self, deps: &[Depend], mode: WaitMode) -> TaskId {
+        fn spawn_root(&mut self, deps: &[FootprintEntry], mode: WaitMode) -> TaskId {
             self.spawn(self.root, deps, mode)
         }
 
@@ -2287,7 +2284,20 @@ mod tests {
             stats.accesses_registered,
             "every access must register on exactly one matching tier"
         );
+        #[cfg(debug_assertions)]
         h.engine.debug_check_invariants();
+    }
+
+    /// Registration takes caller-normalised dependencies; overlapping entries are a caller
+    /// bug that debug builds catch at the engine boundary.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "must be normalised")]
+    fn register_rejects_unnormalised_dependencies() {
+        let engine = DependencyEngine::new();
+        let root = engine.register_root();
+        let overlapping = [dep(AccessType::In, r(1, 0, 10)), dep(AccessType::Out, r(1, 5, 15))];
+        let _ = engine.register_task(root, &overlapping, WaitMode::None);
     }
 
     #[test]
@@ -2777,21 +2787,17 @@ mod tests {
     fn batch_registration_matches_sequential() {
         let mut h = Harness::new();
         let writer = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
-        let specs: Vec<(Vec<Depend>, WaitMode)> = vec![
+        let mut specs: Vec<(Vec<FootprintEntry>, WaitMode)> = vec![
             (vec![dep(AccessType::In, A)], WaitMode::None),
             (vec![dep(AccessType::InOut, B)], WaitMode::None),
             (vec![dep(AccessType::In, A)], WaitMode::None),
         ];
-        let normalized: Vec<(Vec<crate::access::NormalizedDep>, WaitMode)> = specs
-            .iter()
-            .map(|(deps, mode)| (normalize_deps(deps), *mode))
-            .collect();
+        for (deps, _) in &mut specs {
+            normalize_deps(deps);
+        }
         let results = h
             .engine
-            .register_batch(
-                h.root,
-                normalized.iter().map(|(deps, mode)| (deps.as_slice(), *mode)),
-            )
+            .register_batch(h.root, specs.iter().map(|(deps, mode)| (deps.as_slice(), *mode)))
             .expect("live parent");
         assert_eq!(results.len(), 3);
         let (reader1, ready1) = results[0];
@@ -2866,9 +2872,8 @@ mod tests {
             h.engine.register_task(t1, &[dep(AccessType::In, B)], WaitMode::None),
             Err(StaleTaskId(stale)) if stale == t1
         ));
-        let normalized = normalize_deps(&[dep(AccessType::In, B)]);
         assert!(matches!(
-            h.engine.register_batch(t1, [(normalized.as_slice(), WaitMode::None)]),
+            h.engine.register_batch(t1, [(&[dep(AccessType::In, B)][..], WaitMode::None)]),
             Err(StaleTaskId(stale)) if stale == t1
         ));
         assert_eq!(h.engine.body_finished(t1).err(), Some(StaleTaskId(t1)));
@@ -2958,7 +2963,7 @@ mod tests {
             let n_tasks = 30;
             let n_regions = 6usize;
             // Random declarations.
-            let mut decls: Vec<Vec<Depend>> = Vec::new();
+            let mut decls: Vec<Vec<FootprintEntry>> = Vec::new();
             let mut ids = Vec::new();
             for _ in 0..n_tasks {
                 let mut deps = Vec::new();
@@ -2971,7 +2976,7 @@ mod tests {
                         1 => AccessType::Out,
                         _ => AccessType::InOut,
                     };
-                    deps.push(Depend::new(access, region));
+                    deps.push(FootprintEntry::new(access, region));
                 }
                 decls.push(deps);
             }
@@ -3011,7 +3016,7 @@ mod tests {
                     let conflict = decls[i].iter().any(|a| {
                         decls[j].iter().any(|b| {
                             a.region.intersects(&b.region)
-                                && (a.access.is_write() || b.access.is_write())
+                                && (a.write || b.write)
                         })
                     });
                     if conflict {

@@ -76,13 +76,13 @@ mod observer;
 mod retire;
 mod runtime;
 
-pub use access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};
+pub use access::{normalize_deps, AccessType, FootprintEntry, WaitMode};
 pub use data::{LoopView, LoopViewMut, SharedSlice};
 pub use engine::{DependencyEngine, Effects, EngineStats, StaleTaskId, TaskId};
 #[cfg(feature = "faults")]
 pub use faults::FaultPlan;
 pub use job::{JobError, JobHandle, JobOptions, JobStats, PanicPolicy};
-pub use observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
+pub use observer::{RuntimeObserver, TaskExecution, TaskInfo};
 pub use runtime::{
     CapacityStats, Runtime, RuntimeConfig, RuntimeStats, TaskBuilder, TaskCtx, TaskSpec,
 };

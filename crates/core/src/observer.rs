@@ -7,20 +7,8 @@
 
 use std::time::Instant;
 
-use weakdep_regions::Region;
-
+use crate::access::FootprintEntry;
 use crate::engine::TaskId;
-
-/// One entry of a task's declared data footprint (a normalised dependency declaration).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct FootprintEntry {
-    /// The declared region.
-    pub region: Region,
-    /// Whether the declaration allows writing.
-    pub write: bool,
-    /// Whether the declaration is weak (the task does not touch the data itself).
-    pub weak: bool,
-}
 
 /// Information about a task at creation time.
 #[derive(Clone, Debug)]

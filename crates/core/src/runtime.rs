@@ -64,9 +64,9 @@ use crate::completion::{CompletionGate, Recruitment};
 use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
-use crate::access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};
+use crate::access::{normalize_deps, AccessType, FootprintEntry, WaitMode};
 use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskId};
-use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
+use crate::observer::{RuntimeObserver, TaskExecution, TaskInfo};
 use crate::retire::{RetireSlots, RETIRE_BATCH};
 
 /// Configuration for [`Runtime::new`].
@@ -74,7 +74,6 @@ pub struct RuntimeConfig {
     workers: usize,
     observers: Vec<Arc<dyn RuntimeObserver>>,
     scheduling: SchedulingPolicy,
-    serialized_engine: bool,
     live_task_budget: Option<usize>,
     stall_tick: Option<Duration>,
     stall_strikes: usize,
@@ -93,7 +92,6 @@ impl Default for RuntimeConfig {
             workers,
             observers: Vec::new(),
             scheduling: SchedulingPolicy::default(),
-            serialized_engine: false,
             live_task_budget: None,
             stall_tick: None,
             stall_strikes: 3,
@@ -171,15 +169,6 @@ impl RuntimeConfig {
     #[cfg(feature = "faults")]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Routes every dependency-engine operation (registration, body retirement, `release`)
-    /// through one global mutex, recreating the pre-sharding `Mutex<State>` serialisation. This
-    /// is an **ablation** for benchmarking the per-domain locking scheme against the old global
-    /// lock; leave it disabled for real workloads.
-    pub fn serialized_engine(mut self, enabled: bool) -> Self {
-        self.serialized_engine = enabled;
         self
     }
 
@@ -400,9 +389,6 @@ impl PhaseTimers {
 struct Inner {
     pool: ThreadPool<Arc<TaskRecord>>,
     engine: DependencyEngine,
-    /// `Some` only under the [`RuntimeConfig::serialized_engine`] ablation: one global lock
-    /// taken around every engine operation, emulating the pre-sharding design.
-    engine_serializer: Option<Mutex<()>>,
     pending: PendingSlab,
     /// Per-worker batches of finished tasks awaiting retirement (see [`retire_finished`]);
     /// shared with the pool's idle hook.
@@ -485,7 +471,6 @@ impl Runtime {
                 retire,
                 pool,
                 engine: DependencyEngine::new(),
-                engine_serializer: config.serialized_engine.then(|| Mutex::new(())),
                 pending: PendingSlab::new(),
                 recruitment: Arc::new(Recruitment::new()),
                 jobs: Mutex::new(HashMap::new()),
@@ -558,10 +543,8 @@ impl Runtime {
         }
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
-        let effects = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner.engine.body_finished(job.root).expect("the root is live until here")
-        };
+        let effects =
+            self.inner.engine.body_finished(job.root).expect("the root is live until here");
         schedule_effects(&self.inner, effects, None, &job);
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
@@ -942,36 +925,37 @@ impl<'a> TaskCtx<'a> {
     /// domain lock, amortising lock traffic for loop-spawn patterns (build the specs with
     /// [`TaskBuilder::stage`]). Ready tasks are dispatched in batch after the lock is dropped.
     /// Returns the new task ids in order.
-    pub fn spawn_batch(&self, specs: Vec<TaskSpec>) -> Vec<TaskId> {
+    pub fn spawn_batch(&self, mut specs: Vec<TaskSpec>) -> Vec<TaskId> {
         if specs.is_empty() {
             return Vec::new();
         }
         let spawn_start = Instant::now();
-        let normalized: Vec<Vec<NormalizedDep>> =
-            specs.iter().map(|spec| normalize_deps(&spec.deps)).collect();
-        let registered = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner.engine.register_batch(
+        for spec in &mut specs {
+            normalize_deps(&mut spec.footprint);
+        }
+        let registered = self
+            .inner
+            .engine
+            .register_batch(
                 self.record.id,
-                normalized.iter().zip(&specs).map(|(norm, spec)| {
+                specs.iter().map(|spec| {
                     // Seeded §VIII-A wave-ordering mutation (test-only, see
                     // `RuntimeConfig::seed_wave_ordering_bug`): register the wave's siblings
                     // dependency-free so they dispatch concurrently, while the records and
                     // the sentinel keep the declared footprints.
                     #[cfg(feature = "sentinel")]
                     if self.inner.seed_wave_ordering_bug {
-                        return (&[] as &[NormalizedDep], spec.wait_mode);
+                        return (&[] as &[FootprintEntry], spec.wait_mode);
                     }
-                    (norm.as_slice(), spec.wait_mode)
+                    (spec.footprint.as_slice(), spec.wait_mode)
                 }),
             )
-        }
-        .expect("the spawning task is live, so its id cannot be stale");
+            .expect("the spawning task is live, so its id cannot be stale");
 
         let mut ids = Vec::with_capacity(specs.len());
         let mut ready_records = Vec::new();
-        for ((spec, norm), (id, ready)) in specs.into_iter().zip(normalized).zip(registered) {
-            let record = finish_spawn(self, spec, norm, id, ready);
+        for (spec, (id, ready)) in specs.into_iter().zip(registered) {
+            let record = finish_spawn(self, spec, id, ready);
             if let Some(record) = record {
                 ready_records.push(record);
             }
@@ -1029,13 +1013,11 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let effects = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner
-                .engine
-                .release_region(self.record.id, region)
-                .expect("the releasing task is live, so its id cannot be stale")
-        };
+        let effects = self
+            .inner
+            .engine
+            .release_region(self.record.id, region)
+            .expect("the releasing task is live, so its id cannot be stale");
         // Shrink the task's live declared footprint *before* dispatching successors: a released
         // region is no longer ours, so a successor starting on it must not conflict with us,
         // and our own later accesses to it must trip `check_access`.
@@ -1256,7 +1238,8 @@ fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) 
 /// body. Build one with [`TaskSpec::new`] + the builder methods, or via [`TaskBuilder::stage`];
 /// submit a wave of them with [`TaskCtx::spawn_batch`].
 pub struct TaskSpec {
-    deps: Vec<Depend>,
+    /// The `depend` clause, one entry per declaration until the spawn normalises it in place.
+    footprint: Vec<FootprintEntry>,
     hints: Vec<FootprintEntry>,
     wait_mode: WaitMode,
     label: &'static str,
@@ -1273,7 +1256,7 @@ impl TaskSpec {
     /// An empty spec: no dependencies, default wait mode, label `"task"`, no body yet.
     pub fn new() -> Self {
         TaskSpec {
-            deps: Vec::new(),
+            footprint: Vec::new(),
             hints: Vec::new(),
             wait_mode: WaitMode::None,
             label: "task",
@@ -1283,7 +1266,7 @@ impl TaskSpec {
 
     /// Adds a dependency with an explicit access type.
     pub fn depend(mut self, access: AccessType, region: Region) -> Self {
-        self.deps.push(Depend::new(access, region));
+        self.footprint.push(FootprintEntry::new(access, region));
         self
     }
 
@@ -1443,17 +1426,15 @@ impl<'a> TaskBuilder<'a> {
     /// satisfied. Returns the new task's id.
     pub fn spawn(self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> TaskId {
         let TaskBuilder { ctx, spec } = self;
-        let spec = spec.body(body);
+        let mut spec = spec.body(body);
         let spawn_start = Instant::now();
-        let normalized = normalize_deps(&spec.deps);
-        let (id, ready) = {
-            let _serial = ctx.inner.engine_serializer.as_ref().map(Mutex::lock);
-            ctx.inner
-                .engine
-                .register_task_normalized(ctx.record.id, &normalized, spec.wait_mode)
-                .expect("the spawning task is live, so its id cannot be stale")
-        };
-        let record = finish_spawn(ctx, spec, normalized, id, ready);
+        normalize_deps(&mut spec.footprint);
+        let (id, ready) = ctx
+            .inner
+            .engine
+            .register_task(ctx.record.id, &spec.footprint, spec.wait_mode)
+            .expect("the spawning task is live, so its id cannot be stale");
+        let record = finish_spawn(ctx, spec, id, ready);
         if let Some(record) = record {
             let tenant = ctx.record.job.id;
             match ctx.worker {
@@ -1470,18 +1451,16 @@ impl<'a> TaskBuilder<'a> {
 /// the task is not ready yet. Returns the record when the caller must dispatch it — either the
 /// task was ready at registration, or it became ready while the record was being built (the
 /// [`PendingSlab`] handshake).
+///
+/// `spec.footprint` has been normalised and registered; the hints are appended to that same
+/// vector, which becomes the record's footprint (hints are observed, never registered).
 fn finish_spawn(
     ctx: &TaskCtx<'_>,
     spec: TaskSpec,
-    normalized: Vec<NormalizedDep>,
     id: TaskId,
     ready: bool,
 ) -> Option<Arc<TaskRecord>> {
-    let TaskSpec { deps: _, hints, wait_mode: _, label, body } = spec;
-    let mut footprint: Vec<FootprintEntry> = normalized
-        .into_iter()
-        .map(|d| FootprintEntry { region: d.region, write: d.is_write, weak: d.weak })
-        .collect();
+    let TaskSpec { mut footprint, hints, wait_mode: _, label, body } = spec;
     footprint.extend(hints);
 
     // The pre-increment count is the task's job-local registration ordinal — the key of the
@@ -1700,13 +1679,10 @@ fn retire(
     job: &Arc<JobState>,
     ids: &[TaskId],
 ) {
-    let effects = {
-        let _serial = inner.engine_serializer.as_ref().map(Mutex::lock);
-        inner
-            .engine
-            .body_finished_batch(ids)
-            .expect("a task retires exactly once, so its id cannot be stale here")
-    };
+    let effects = inner
+        .engine
+        .body_finished_batch(ids)
+        .expect("a task retires exactly once, so its id cannot be stale here");
     schedule_effects(inner, effects, Some((wctx, true)), job);
 }
 
@@ -1859,6 +1835,45 @@ mod tests {
         assert!(!covered_by(&footprint, &region(0, 8), true));
         assert!(!covered_by(&footprint, &region(4, 12), true), "0..8 is read-only");
         assert!(covered_by(&footprint, &region(4, 12), false));
+    }
+
+    /// The record's footprint is the normalised dependencies followed by the hints: observers
+    /// see both, while the engine registers only the dependencies. Covers both spawn paths.
+    #[test]
+    fn hints_are_observed_but_never_registered() {
+        struct Footprints(Mutex<Vec<(&'static str, Vec<FootprintEntry>)>>);
+        impl RuntimeObserver for Footprints {
+            fn task_created(&self, info: &TaskInfo<'_>) {
+                self.0.lock().push((info.label, info.footprint.to_vec()));
+            }
+        }
+        let observer = Arc::new(Footprints(Mutex::new(Vec::new())));
+        let rt = Runtime::new(RuntimeConfig::new().workers(1).observer(observer.clone()));
+        let data = SharedSlice::<u8>::new(64);
+        let before = rt.stats().engine.accesses_registered;
+        let d = data.clone();
+        rt.run(move |root| {
+            let hinted = |label| {
+                root.task()
+                    .inout(d.region(16..48))
+                    .inout(d.region(0..32))
+                    .footprint_hint(d.region(8..24), false)
+                    .label(label)
+            };
+            hinted("spawned").spawn(|_| {});
+            root.spawn_batch(vec![hinted("staged").stage(|_| {})]);
+        });
+        // The overlapping pair normalises to one write entry; the hint follows it unmerged.
+        let expected = vec![
+            FootprintEntry { region: data.region(0..48), write: true, weak: false },
+            FootprintEntry { region: data.region(8..24), write: false, weak: false },
+        ];
+        let created = observer.0.lock();
+        assert_eq!(created.len(), 2);
+        for (label, footprint) in created.iter() {
+            assert_eq!(footprint, &expected, "{label}");
+        }
+        assert_eq!(rt.stats().engine.accesses_registered - before, 2, "one entry per task");
     }
 
     /// Flush rule: a full batch drains. On one worker, a spawner parks first and every leaf

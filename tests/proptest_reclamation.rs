@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 
-use weakdep::core::{DependencyEngine, StaleTaskId, TaskId};
-use weakdep::{AccessType, Depend, Region, SpaceId, WaitMode};
+use weakdep::core::{normalize_deps, DependencyEngine, StaleTaskId, TaskId};
+use weakdep::{AccessType, FootprintEntry, Region, SpaceId, WaitMode};
 
 /// One randomly generated flat task: 1–3 accesses over a small region pool, any wait mode.
 #[derive(Clone, Debug)]
@@ -25,7 +25,7 @@ fn region(idx: u8) -> Region {
     Region::new(SpaceId(1), start, start + 10)
 }
 
-fn deps_of(decl: &Decl) -> Vec<Depend> {
+fn deps_of(decl: &Decl) -> Vec<FootprintEntry> {
     decl.accesses
         .iter()
         .map(|&(r, a)| {
@@ -35,7 +35,7 @@ fn deps_of(decl: &Decl) -> Vec<Depend> {
                 2 => AccessType::InOut,
                 _ => AccessType::WeakInOut,
             };
-            Depend::new(access, region(r))
+            FootprintEntry::new(access, region(r))
         })
         .collect()
 }
@@ -82,8 +82,10 @@ proptest! {
             let mut ready: Vec<TaskId> = Vec::new();
             let mut pending: Vec<TaskId> = Vec::new();
             for decl in round {
+                let mut deps = deps_of(decl);
+                normalize_deps(&mut deps);
                 let (id, is_ready) = engine
-                    .register_task(root, &deps_of(decl), mode_of(decl))
+                    .register_task(root, &deps, mode_of(decl))
                     .expect("live parent");
                 // A live id must always answer the typed query.
                 prop_assert_eq!(engine.try_is_deeply_completed(id), Ok(false));

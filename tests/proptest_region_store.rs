@@ -13,9 +13,9 @@
 
 use proptest::prelude::*;
 
-use weakdep::core::DependencyEngine;
+use weakdep::core::{normalize_deps, DependencyEngine};
 use weakdep::regions::{RangeUpdate, Region, RegionMap, RegionStore, SpaceId};
-use weakdep::{AccessType, Depend, WaitMode};
+use weakdep::{AccessType, FootprintEntry, WaitMode};
 
 /// One randomly generated store operation.
 #[derive(Clone, Debug)]
@@ -198,7 +198,7 @@ fn pool_region(selector: u8) -> Region {
     }
 }
 
-fn deps_of(decl: &Decl) -> Vec<Depend> {
+fn deps_of(decl: &Decl) -> Vec<FootprintEntry> {
     decl.accesses
         .iter()
         .map(|&(r, a)| {
@@ -207,7 +207,7 @@ fn deps_of(decl: &Decl) -> Vec<Depend> {
                 1 => AccessType::Out,
                 _ => AccessType::InOut,
             };
-            Depend::new(access, pool_region(r))
+            FootprintEntry::new(access, pool_region(r))
         })
         .collect()
 }
@@ -230,8 +230,10 @@ proptest! {
         let mut ready: Vec<usize> = Vec::new();
         let mut ids = Vec::with_capacity(decls.len());
         for (i, decl) in decls.iter().enumerate() {
+            let mut deps = deps_of(decl);
+            normalize_deps(&mut deps);
             let (id, is_ready) = engine
-                .register_task(root, &deps_of(decl), WaitMode::None)
+                .register_task(root, &deps, WaitMode::None)
                 .expect("live parent");
             if is_ready {
                 ready.push(i);
@@ -260,7 +262,7 @@ proptest! {
                 let conflict = deps_of(&decls[i]).iter().any(|a| {
                     deps_of(&decls[j]).iter().any(|b| {
                         a.region.intersects(&b.region)
-                            && (a.access.is_write() || b.access.is_write())
+                            && (a.write || b.write)
                     })
                 });
                 if conflict {
@@ -305,7 +307,7 @@ proptest! {
         let mut ids = Vec::new();
 
         let register = |region: Region, ready: &mut Vec<usize>, ids: &mut Vec<_>| {
-            let deps = [Depend::new(AccessType::InOut, region)];
+            let deps = [FootprintEntry::new(AccessType::InOut, region)];
             let (id, is_ready) =
                 engine.register_task(root, &deps, WaitMode::None).expect("live parent");
             if is_ready {
